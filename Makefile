@@ -110,7 +110,7 @@ fuzz-short:
 	$(GO) test -run=xxx -fuzz=FuzzParse -fuzztime=10s ./internal/sklang/
 	$(GO) test -run=xxx -fuzz=FuzzChromeJSON -fuzztime=10s ./internal/trace/
 	$(GO) test -run=xxx -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/
-	$(GO) test -run=xxx -fuzz=FuzzTraceparent -fuzztime=10s ./internal/telemetry/
+	$(GO) test -run=xxx -fuzz=FuzzTraceparent -fuzztime=10s ./internal/trace/
 
 fmt:
 	gofmt -w .

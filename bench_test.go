@@ -21,7 +21,7 @@ import (
 	"grophecy/internal/core"
 	"grophecy/internal/experiments"
 	"grophecy/internal/stats"
-	"grophecy/internal/telemetry"
+	"grophecy/internal/trace"
 )
 
 func findHotSpot() (core.Workload, error) {
@@ -289,10 +289,11 @@ func BenchmarkEndToEndProjection(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndProjectionTelemetry is the same projection with a
-// wall-clock tracer on the context, the way grophecyd runs it: a
-// fresh per-request tracer, a span per engine stage, and the close —
-// so the snapshot records what request telemetry costs on top of
+// BenchmarkEndToEndProjectionTelemetry is the same projection under
+// the request tracer grophecyd installs: a fresh request tree, one run
+// span under its root, the engine's simulated and stage spans, the
+// close, and the release a finished request ends with — so the
+// snapshot records what request tracing costs on top of
 // BenchmarkEndToEndProjection.
 func BenchmarkEndToEndProjectionTelemetry(b *testing.B) {
 	c := sharedCtx(b)
@@ -302,16 +303,25 @@ func BenchmarkEndToEndProjectionTelemetry(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := telemetry.New("bench")
-		tctx := telemetry.With(context.Background(), tr)
-		if _, err := c.P.EvaluateCtx(tctx, w); err != nil {
+		if err := tracedProjection(c.P, w); err != nil {
 			b.Fatal(err)
 		}
-		tr.Close()
 	}
 }
 
-// BenchmarkTelemetryOverhead measures what the wall-clock tracer costs
+// tracedProjection runs one projection the way a grophecyd request
+// does: under a request tracer, inside a run span.
+func tracedProjection(p *core.Projector, w core.Workload) error {
+	tr := trace.NewRequest("bench", trace.SpanContext{})
+	ctx, run := trace.StartRun(trace.With(context.Background(), tr), "bench")
+	_, err := p.EvaluateCtx(ctx, w)
+	run.End()
+	tr.Close()
+	tr.Release()
+	return err
+}
+
+// BenchmarkTelemetryOverhead measures what the request tracer costs
 // *relative to the bare projection*, as an overhead-pct metric the
 // regression gate bounds directly (benchjson diff -metric-max,
 // default TelemetryOverhead:overhead-pct=5).
@@ -345,10 +355,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			}
 		} else {
 			start := time.Now()
-			tr := telemetry.New("bench")
-			tctx := telemetry.With(context.Background(), tr)
-			_, err := c.P.EvaluateCtx(tctx, w)
-			tr.Close()
+			err := tracedProjection(c.P, w)
 			tracedNs += time.Since(start)
 			tracedN++
 			if err != nil {

@@ -47,7 +47,6 @@ import (
 	"grophecy/internal/report"
 	"grophecy/internal/sklang"
 	"grophecy/internal/target"
-	"grophecy/internal/telemetry"
 	"grophecy/internal/trace"
 )
 
@@ -297,7 +296,6 @@ func wantsNDJSON(req *http.Request) bool {
 // are the request-level 400s; job failures carry their own error and
 // status on their row.
 func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
-	start := time.Now()
 	ctx := obs.WithLogger(req.Context(), s.cfg.Logger)
 	lg := obs.Log(obs.WithPhase(ctx, "batch"))
 
@@ -347,12 +345,6 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		resolved[i] = s.resolve(j)
 	}
 
-	// Per-request cache accounting: the pool's counters are
-	// daemon-global cumulative, so capture a before/after window.
-	// Concurrent requests' traffic can land inside the window, but the
-	// deltas are this request's in the common case — unlike the raw
-	// cumulative values, which are never per-request.
-	hits0, misses0 := s.pool.Hits(), s.pool.Misses()
 	mBatchDagDepth.Set(float64(g.Depth()))
 
 	stream := wantsNDJSON(req)
@@ -420,17 +412,13 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 			mBatchJobFailures.Inc()
 		}
 	}
-	event := telemetry.EventFrom(ctx)
+	event := obs.EventFrom(ctx)
 	event.Set("jobs", len(jobs))
 	event.Set("succeeded", succeeded)
 	event.Set("failed", failed)
 	event.Set("skipped", skipped)
 	event.Set("dag_depth", g.Depth())
-	lg.Info("batch request served",
-		"jobs", len(jobs), "succeeded", succeeded, "failed", failed, "skipped", skipped,
-		"dag_depth", g.Depth(), "streamed", stream,
-		"cache_hits", s.pool.Hits()-hits0, "cache_misses", s.pool.Misses()-misses0,
-		"duration_ms", float64(time.Since(start).Microseconds())/1e3)
+	event.Set("streamed", stream)
 
 	if stream {
 		if writeErr == nil {
@@ -467,9 +455,10 @@ func staticOutcome(r resolvedJob) jobOutcome {
 	}
 }
 
-// runJob executes one resolved job: its own run ID, tracer, flight
-// record, and projection through the shared pool — exactly the
-// /project request lifecycle.
+// runJob executes one resolved job: its own run ID, run span (with
+// its own simulated clock, under the request's tree), flight record,
+// and projection through the shared pool — exactly the /project
+// request lifecycle.
 func (s *server) runJob(ctx context.Context, r resolvedJob) jobOutcome {
 	out := jobOutcome{
 		id:        r.id,
@@ -489,9 +478,10 @@ func (s *server) runJob(ctx context.Context, r resolvedJob) jobOutcome {
 	out.runID = runID
 	ctx = obs.WithRun(ctx, runID)
 	ctx = obs.WithWorkload(ctx, r.wl.Name)
-	tracer := trace.New("grophecyd")
-	ctx = trace.With(ctx, tracer)
+	ctx, run := trace.StartRun(ctx, "grophecyd")
 
+	// Batch jobs share the request's tree: every row's walltrace
+	// endpoint replays the whole request trace.
 	entry := flight.Entry{
 		ID:        runID,
 		Workload:  r.wl.Name,
@@ -501,13 +491,10 @@ func (s *server) runJob(ctx context.Context, r resolvedJob) jobOutcome {
 		JobID:     r.id,
 		DependsOn: r.dependsOn,
 		Start:     start,
-		// Batch jobs share the request's wall tracer: every row's
-		// walltrace endpoint replays the whole request trace.
-		WallTrace: telemetry.FromContext(ctx),
 	}
 	rep, err := s.project(ctx, r.tgt, r.backend, r.seed, r.wl)
-	tracer.Close()
-	entry.Trace = tracer
+	run.End()
+	entry.Run = run
 	entry.Duration = time.Since(start)
 	if err != nil {
 		entry.Err = err.Error()

@@ -1,22 +1,25 @@
-// Wall-clock request telemetry for the projection endpoints: W3C
-// trace-context propagation, per-stage latency attribution, the
-// canonical wide event, histogram exemplars, and SLO accounting.
+// Request tracing for the projection endpoints: W3C trace-context
+// propagation, per-stage latency attribution, the canonical wide
+// event, histogram exemplars, and SLO accounting.
 //
-// Every admitted request runs under an internal/telemetry tracer —
-// wall-clock spans, entirely separate from the *simulated-time*
-// internal/trace tree that the projection itself stamps. An inbound
-// `traceparent` header is adopted (the daemon's trace joins the
-// caller's), a fresh trace is minted otherwise, and the daemon's own
-// server span is echoed back in the response `traceparent` header so
-// callers can stitch either way. The finished trace is exported to
-// the configured OTLP sinks and retained on the flight ring for
-// GET /runs/{id}/walltrace.
+// Every admitted request runs under one internal/trace request tracer:
+// its root is the daemon's server span, the admission wait is a
+// queue.wait service span under it, and each run — the /project
+// projection, or one /batch job — is a run span under the root with
+// its own simulated clock. An inbound `traceparent` header is adopted
+// (the daemon's trace joins the caller's), a fresh trace is minted
+// otherwise, and the root span is echoed back in the response
+// `traceparent` header so callers can stitch either way. The finished
+// tree is exported to the configured OTLP sinks and retained on the
+// flight ring, which serves a run's subtree as GET /runs/{id}/trace
+// and the whole tree as GET /runs/{id}/walltrace.
 //
-// The wide event is the one log line to grep: a single slog record
-// per request carrying the trace ID, tenant, outcome, queue depth at
-// admission, and per-span-name wall milliseconds (queue.wait, cal.*,
-// snap.*, stage.*) — everything the per-request dashboards need
-// without joining log streams.
+// The wide event is the one Info record per request: a single slog
+// record carrying the trace ID, tenant, outcome, queue depth at
+// admission, the request's own calibration-cache hits and misses, and
+// per-span-name wall milliseconds of the service spans (queue.wait,
+// cal.*, snap.*, stage.*) — everything the per-request dashboards
+// need without joining log streams.
 package main
 
 import (
@@ -31,7 +34,7 @@ import (
 
 	"grophecy/internal/metrics"
 	"grophecy/internal/obs"
-	"grophecy/internal/telemetry"
+	"grophecy/internal/trace"
 )
 
 // statusWriter captures the response status for the wide event and
@@ -68,7 +71,7 @@ func tenantKey(req *http.Request) string {
 }
 
 // admitted wraps a projection-shaped handler in the admission gate
-// and the request-telemetry envelope. The request either owns a
+// and the request-tracing envelope. The request either owns a
 // worker slot for its whole lifetime, waits its turn in FIFO order
 // (as a queue.wait span), or is shed with 429 + Retry-After — and
 // every outcome, shed included, produces a wide event, an exemplared
@@ -78,25 +81,25 @@ func (s *server) admitted(next http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		mRequests.Inc()
 
-		parent, _ := telemetry.Extract(req.Header)
-		tracer := telemetry.NewWith("grophecyd", telemetry.Options{Parent: parent})
-		telemetry.Inject(w.Header(), tracer.ServerContext())
+		parent, _ := trace.Extract(req.Header)
+		tracer := trace.NewRequest("grophecyd", parent)
+		trace.Inject(w.Header(), tracer.ServerContext())
 
-		event := telemetry.NewEvent()
+		event := obs.NewEvent()
 		event.Set(obs.FieldPhase, "request")
 		event.Set("trace_id", tracer.TraceID().String())
 		event.Set("tenant", tenantKey(req))
 		event.Set("method", req.Method)
 		event.Set("path", req.URL.Path)
 
-		ctx := telemetry.With(req.Context(), tracer)
-		ctx = telemetry.WithEvent(ctx, event)
+		ctx := trace.With(req.Context(), tracer)
+		ctx = obs.WithEvent(ctx, event)
 		req = req.WithContext(ctx)
 
 		depth := s.admit.queueDepth()
 		event.Set("queue_depth", depth)
-		_, qspan := telemetry.Start(ctx, "queue.wait")
-		qspan.SetAttr(telemetry.Int("queue_depth", int64(depth)))
+		_, qspan := trace.StartWall(ctx, "queue.wait")
+		qspan.SetAttr(trace.Int("queue_depth", int64(depth)))
 		release, err := s.admit.acquire(ctx)
 		qspan.End()
 		mQueueWait.Observe(time.Since(start).Seconds())
@@ -129,13 +132,15 @@ func (s *server) admitted(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// finishRequest closes the request's wall trace and fans the outcome
-// out to every per-request surface: the latency histogram (with the
-// trace ID as an exemplar, linking the bucket back to the trace), the
-// SLO tracker (5xx counts against availability; the latency objective
+// finishRequest closes the request's trace and fans the outcome out
+// to every per-request surface: the latency histogram (with the trace
+// ID as an exemplar, linking the bucket back to the trace), the SLO
+// tracker (5xx counts against availability; the latency objective
 // applies its own threshold), the canonical wide event, and the OTLP
-// sinks.
-func (s *server) finishRequest(tracer *telemetry.Tracer, event *telemetry.Event, status int, start time.Time) {
+// sinks. Then it drops the request's hold on the tree; flight entries
+// that retain a run keep their own holds.
+func (s *server) finishRequest(tracer *trace.Tracer, event *obs.Event, status int, start time.Time) {
+	defer tracer.Release()
 	tracer.Close()
 	elapsed := time.Since(start)
 	mRequestSeconds.ObserveExemplar(elapsed.Seconds(),
@@ -144,6 +149,10 @@ func (s *server) finishRequest(tracer *telemetry.Tracer, event *telemetry.Event,
 
 	event.Set("status", status)
 	event.Set("duration_ms", roundMS(elapsed))
+	// Cache outcomes come from this request's own calibration spans,
+	// never from the pool's daemon-global counters.
+	event.Set("cache_hits", tracer.Count("cal.cache_hit", "cal.wait"))
+	event.Set("cache_misses", tracer.Count("cal.compute"))
 	names := make([]string, 0, 8)
 	durs := tracer.Durations()
 	for name := range durs {

@@ -34,7 +34,6 @@ import (
 	"grophecy/internal/slo"
 	"grophecy/internal/store"
 	"grophecy/internal/target"
-	"grophecy/internal/telemetry"
 	"grophecy/internal/trace"
 )
 
@@ -144,7 +143,7 @@ type server struct {
 	store    *store.Store
 	snap     *obs.SnapshotState
 	slo      *slo.Tracker
-	sinks    []telemetry.Sink
+	sinks    []trace.Sink
 	started  time.Time
 
 	// testBlock, when non-nil, is received from by every admitted
@@ -216,14 +215,14 @@ func newServer(cfg daemonConfig) (*server, error) {
 		return nil, err
 	}
 	if cfg.OTLPFile != "" {
-		fs, err := telemetry.NewFileSink(cfg.OTLPFile)
+		fs, err := trace.NewFileSink(cfg.OTLPFile)
 		if err != nil {
 			return nil, err
 		}
 		s.sinks = append(s.sinks, fs)
 	}
 	if cfg.OTLPEndpoint != "" {
-		s.sinks = append(s.sinks, telemetry.NewHTTPSink(cfg.OTLPEndpoint))
+		s.sinks = append(s.sinks, trace.NewHTTPSink(cfg.OTLPEndpoint))
 	}
 	poolCfg := engine.Config{
 		MaxEntries:       cfg.CacheEntries,
@@ -297,7 +296,7 @@ func newServer(cfg daemonConfig) (*server, error) {
 func (s *server) closeSinks() {
 	for _, sink := range s.sinks {
 		if err := sink.Close(); err != nil {
-			s.cfg.Logger.Warn("closing telemetry sink", "err", err.Error())
+			s.cfg.Logger.Warn("closing trace sink", "err", err.Error())
 		}
 	}
 }
@@ -647,12 +646,9 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	}
 
 	ctx = obs.WithWorkload(ctx, wl.Name)
-	tracer := trace.New("grophecyd")
-	ctx = trace.With(ctx, tracer)
+	ctx, run := trace.StartRun(ctx, "grophecyd")
 
-	// Annotate the request's wide event and pin its wall-clock trace
-	// to the flight entry so GET /runs/{id}/walltrace can replay it.
-	event := telemetry.EventFrom(ctx)
+	event := obs.EventFrom(ctx)
 	event.Set("run", runID)
 	event.Set("workload", wl.Name)
 	event.Set("target", tgt.Name)
@@ -660,17 +656,16 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	event.Set("seed", seed)
 
 	entry := flight.Entry{
-		ID:        runID,
-		Workload:  wl.Name,
-		DataSize:  wl.DataSize,
-		Source:    src,
-		Seed:      seed,
-		Start:     start,
-		WallTrace: telemetry.FromContext(ctx),
+		ID:       runID,
+		Workload: wl.Name,
+		DataSize: wl.DataSize,
+		Source:   src,
+		Seed:     seed,
+		Start:    start,
 	}
 	rep, err := s.project(ctx, tgt, backendName, seed, wl)
-	tracer.Close()
-	entry.Trace = tracer
+	run.End()
+	entry.Run = run
 	entry.Duration = time.Since(start)
 	if err != nil {
 		entry.Err = err.Error()
@@ -680,6 +675,8 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	}
 	entry.Report = rep
 	s.recorder.Add(entry)
+	event.Set("speedup_full", fmt.Sprintf("%.3g", rep.SpeedupFull()))
+	event.Set("degradations", len(rep.Degradations))
 
 	data, err := report.JSON(rep)
 	if err != nil {
@@ -688,12 +685,6 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
-	lg.Info("projection request served",
-		"workload", wl.Name, "seed", seed, "target", tgt.Name, "backend", backendName,
-		"speedup_full", fmt.Sprintf("%.3g", rep.SpeedupFull()),
-		"cache_hits", s.pool.Hits(), "cache_misses", s.pool.Misses(),
-		"degradations", len(rep.Degradations),
-		"duration_ms", float64(time.Since(start).Microseconds())/1e3)
 }
 
 // project runs one full evaluation on a machine private to this

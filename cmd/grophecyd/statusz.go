@@ -74,8 +74,8 @@ func (s *server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			outcome = "ERR " + e.Err
 		}
 		trace := ""
-		if e.WallTrace != nil {
-			trace = "  trace " + e.WallTrace.TraceID().String()
+		if e.Run != nil {
+			trace = "  trace " + e.TraceID.String()
 		}
 		fmt.Fprintf(&b, "  %-10s %-12s %7.1fms  %s%s\n",
 			e.ID, e.Workload, float64(e.Duration.Microseconds())/1e3, outcome, trace)

@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"log/slog"
 
 	"grophecy/internal/datausage"
 	"grophecy/internal/errdefs"
 	"grophecy/internal/obs"
 	"grophecy/internal/pcie"
-	"grophecy/internal/telemetry"
 	"grophecy/internal/trace"
 )
 
@@ -115,8 +115,9 @@ func (e *Engine) StageNames() []string {
 // Evaluate runs the staged pipeline on one workload with the given
 // projector. It owns the evaluation-level observability — the
 // "evaluate" span whose simulated clock advances by the projected GPU
-// time, the start/finish log lines, the evaluation counter — while
-// each stage traces and meters itself.
+// time, the start/finish debug lines, the evaluation counter — while
+// each stage traces and meters itself. The daemon's one Info record
+// per request is its wide event, not these lines.
 func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report, error) {
 	if p == nil {
 		return Report{}, errdefs.Invalidf("core: Evaluate with nil projector")
@@ -127,7 +128,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report
 	mEvaluations.Inc()
 	ctx = obs.WithWorkload(ctx, w.Name)
 	lg := obs.Log(obs.WithPhase(ctx, "evaluate"))
-	lg.Info("projection started",
+	lg.Debug("projection started",
 		"size", w.DataSize,
 		"iterations", w.Seq.Iterations,
 		"resilient", p.meter != nil)
@@ -142,10 +143,9 @@ func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report
 		if err := ctx.Err(); err != nil {
 			return Report{}, err
 		}
-		// Wall-clock attribution per stage, alongside the simulated
-		// spans each stage opens itself. Free when no request tracer
-		// is installed (the CLI path).
-		sctx, wspan := telemetry.Start(ctx, "stage."+stage.Name())
+		// Wall-clock attribution per stage, off the simulated
+		// timeline: the stage's own simulated spans nest inside it.
+		sctx, wspan := trace.StartWall(ctx, "stage."+stage.Name())
 		err := stage.Run(sctx, st)
 		wspan.End()
 		if err != nil {
@@ -154,11 +154,13 @@ func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report
 	}
 
 	r := st.Report
-	lg.Info("projection finished",
-		"speedup_full", fmt.Sprintf("%.3g", r.SpeedupFull()),
-		"measured_speedup", fmt.Sprintf("%.3g", r.MeasuredSpeedup()),
-		"pred_total_gpu_s", fmt.Sprintf("%.3g", r.PredTotalGPU()),
-		"degradations", len(r.Degradations))
+	if lg.Enabled(ctx, slog.LevelDebug) {
+		lg.Debug("projection finished",
+			"speedup_full", fmt.Sprintf("%.3g", r.SpeedupFull()),
+			"measured_speedup", fmt.Sprintf("%.3g", r.MeasuredSpeedup()),
+			"pred_total_gpu_s", fmt.Sprintf("%.3g", r.PredTotalGPU()),
+			"degradations", len(r.Degradations))
+	}
 	return r, nil
 }
 

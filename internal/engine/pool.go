@@ -67,7 +67,7 @@ import (
 	"grophecy/internal/metrics"
 	"grophecy/internal/pcie"
 	"grophecy/internal/target"
-	"grophecy/internal/telemetry"
+	"grophecy/internal/trace"
 	"grophecy/internal/xfermodel"
 )
 
@@ -449,10 +449,10 @@ func (p *Pool) Projector(ctx context.Context, tgt target.Target, backendName str
 			if done {
 				spanName = "cal.cache_hit"
 			}
-			_, span := telemetry.Start(ctx, spanName,
-				telemetry.String("cal_key", key.Target),
-				telemetry.String("cal_backend", key.Backend),
-				telemetry.String("cal_kind", key.Kind.String()))
+			_, span := trace.StartWall(ctx, spanName,
+				trace.String("cal_key", key.Target),
+				trace.String("cal_backend", key.Backend),
+				trace.String("cal_kind", key.Kind.String()))
 			select {
 			case <-f.ready:
 				span.End()
@@ -486,9 +486,9 @@ func (p *Pool) Projector(ctx context.Context, tgt target.Target, backendName str
 		if !br.admitLocked(p.now(), p.brOpenFor) {
 			p.mu.Unlock()
 			mBreakerRejects.Inc()
-			_, span := telemetry.Start(ctx, "cal.breaker_open",
-				telemetry.String("cal_key", key.Target),
-				telemetry.String("breaker", breakerOpen.String()))
+			_, span := trace.StartWall(ctx, "cal.breaker_open",
+				trace.String("cal_key", key.Target),
+				trace.String("breaker", breakerOpen.String()))
 			span.End()
 			return nil, fmt.Errorf("%w: calibration for %s/%s/%v/seed=%d suspended after repeated failures, next probe within %s",
 				errdefs.ErrCircuitOpen, key.Target, key.Backend, key.Kind, key.Seed, p.brOpenFor)
@@ -507,13 +507,13 @@ func (p *Pool) Projector(ctx context.Context, tgt target.Target, backendName str
 
 		p.misses.Add(1)
 		mMisses.Inc()
-		cctx, span := telemetry.Start(ctx, "cal.compute",
-			telemetry.String("cal_key", key.Target),
-			telemetry.String("cal_backend", key.Backend),
-			telemetry.String("cal_kind", key.Kind.String()),
-			telemetry.String("breaker", brState.String()))
+		cctx, span := trace.StartWall(ctx, "cal.compute",
+			trace.String("cal_key", key.Target),
+			trace.String("cal_backend", key.Backend),
+			trace.String("cal_kind", key.Kind.String()),
+			trace.String("breaker", brState.String()))
 		p.runFlight(cctx, key, f, tgt, seed, kind)
-		span.SetAttr(telemetry.Bool("cal_ok", f.err == nil))
+		span.SetAttr(trace.Bool("cal_ok", f.err == nil))
 		span.End()
 		if f.err != nil {
 			return nil, f.err

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"grophecy/internal/core"
-	"grophecy/internal/telemetry"
 	"grophecy/internal/trace"
 )
 
@@ -40,15 +39,16 @@ type Entry struct {
 	Report core.Report
 	// Err is the run's error, empty on success.
 	Err string
-	// Trace is the run's *simulated-time* span tree (nil when tracing
-	// was off). Its spans are pooled: the recorder releases them on
-	// eviction, so export must go through TraceJSON, which serializes
-	// under the recorder lock.
-	Trace *trace.Tracer
-	// WallTrace is the request's *wall-clock* span tree (nil when the
-	// run was not served over HTTP). Not pooled; kept for
-	// GET /runs/{id}/walltrace.
-	WallTrace *telemetry.Tracer
+	// Run is the run's span in its request's trace tree (nil when
+	// tracing was off). Its subtree is the run's simulated-time trace
+	// (GET /runs/{id}/trace); the tree's root is the request's
+	// wall-clock trace (GET /runs/{id}/walltrace). The tree's spans
+	// are pooled: Add takes a hold on the tree and eviction drops it,
+	// and export must go through TraceJSON or WallTraceJSON, which
+	// serialize under the recorder lock.
+	Run *trace.Span
+	// TraceID is the run's trace ID, filled in by Add.
+	TraceID trace.TraceID
 	// Start and Duration are wall-clock service times — operational
 	// bookkeeping, not modeled results.
 	Start    time.Time
@@ -87,12 +87,15 @@ func MustNew(capacity int) *Recorder {
 // process-unique run IDs never collide, but the recorder stays
 // correct for callers whose IDs do.
 //
-// Eviction is where a run's life provably ends, so the evicted
-// entry's simulated trace is released back to the span pool here —
-// the ring was the one place in the daemon that retained traces
-// forever. Readers are safe because trace export (TraceJSON) holds
-// r.mu for the whole serialization.
+// Each retained slot holds its run's trace tree (trace.Tracer.Hold),
+// and eviction drops that hold, so a tree returns to the span pool
+// once no retained slot references it and its request has released
+// its own hold. Readers are safe because trace export holds r.mu for
+// the whole serialization.
 func (r *Recorder) Add(e Entry) {
+	tr := e.Run.Tracer()
+	tr.Hold()
+	e.TraceID = tr.TraceID()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.entries) == r.cap {
@@ -106,25 +109,10 @@ func (r *Recorder) Add(e Entry) {
 		if !r.idLiveLocked(old.ID) {
 			delete(r.byID, old.ID)
 		}
-		// Release the evicted trace unless a retained slot (or the
-		// entry being added) still shares the same tracer.
-		if old.Trace != nil && old.Trace != e.Trace && !r.traceLiveLocked(old.Trace) {
-			old.Trace.Release()
-		}
+		old.Run.Tracer().Release()
 	}
 	r.entries = append(r.entries, e)
 	r.byID[e.ID] = e
-}
-
-// traceLiveLocked reports whether any retained ring slot shares tr.
-// Callers must hold r.mu.
-func (r *Recorder) traceLiveLocked(tr *trace.Tracer) bool {
-	for i := range r.entries {
-		if r.entries[i].Trace == tr {
-			return true
-		}
-	}
-	return false
 }
 
 // idLiveLocked reports whether any retained ring slot carries id.
@@ -150,42 +138,48 @@ func (r *Recorder) Get(id string) (Entry, bool) {
 var (
 	// ErrNoRun: the ID is unknown (evicted or never recorded).
 	ErrNoRun = fmt.Errorf("flight: no such run (evicted or never recorded)")
-	// ErrNoTrace: the run exists but was recorded without the
-	// requested trace kind.
+	// ErrNoTrace: the run exists but was recorded without a trace.
 	ErrNoTrace = fmt.Errorf("flight: run recorded without a trace")
 )
 
 // TraceJSON serializes the run's simulated-time trace as Chrome
 // trace_event JSON. The recorder lock is held across the export so a
-// concurrent eviction cannot release the trace's pooled spans out
-// from under the serializer — callers must not export a Trace pulled
-// from Get for exactly that reason.
+// concurrent eviction cannot release the tree's pooled spans out from
+// under the serializer — callers must not export a Run pulled from
+// Get for exactly that reason.
 func (r *Recorder) TraceJSON(id string) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.byID[id]
-	if !ok {
-		return nil, ErrNoRun
+	e, err := r.tracedLocked(id)
+	if err != nil {
+		return nil, err
 	}
-	if e.Trace == nil {
-		return nil, ErrNoTrace
-	}
-	return e.Trace.ChromeJSON()
+	return e.Run.ChromeJSON()
 }
 
-// WallTraceJSON serializes the run's wall-clock trace as OTLP/JSON,
-// under the recorder lock for symmetry with TraceJSON.
+// WallTraceJSON serializes the run's whole request tree in wall time
+// as OTLP/JSON, under the recorder lock like TraceJSON.
 func (r *Recorder) WallTraceJSON(id string) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	e, err := r.tracedLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run.Tracer().OTLP()
+}
+
+// tracedLocked returns the entry for id, or the error the exporters
+// report. Callers must hold r.mu.
+func (r *Recorder) tracedLocked(id string) (Entry, error) {
 	e, ok := r.byID[id]
 	if !ok {
-		return nil, ErrNoRun
+		return e, ErrNoRun
 	}
-	if e.WallTrace == nil {
-		return nil, ErrNoTrace
+	if e.Run == nil {
+		return e, ErrNoTrace
 	}
-	return e.WallTrace.OTLP()
+	return e, nil
 }
 
 // Entries returns a copy of the retained runs, oldest first.

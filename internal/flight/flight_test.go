@@ -146,7 +146,7 @@ func TestHTTPSurface(t *testing.T) {
 	tr := trace.New("test")
 	tr.Close()
 	ok := entry(1)
-	ok.Trace = tr
+	ok.Run = tr.Root()
 	r.Add(ok)
 	r.Add(Entry{ID: "run-2", Workload: "CFD", Err: "boom", Start: time.Unix(1700000001, 0)})
 

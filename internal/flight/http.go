@@ -18,22 +18,24 @@ import (
 
 // Summary is one row of the GET /runs index.
 type Summary struct {
-	ID         string  `json:"id"`
-	Workload   string  `json:"workload"`
-	DataSize   string  `json:"dataSize"`
-	Iterations int     `json:"iterations"`
-	Seed       uint64  `json:"seed"`
+	ID         string `json:"id"`
+	Workload   string `json:"workload"`
+	DataSize   string `json:"dataSize"`
+	Iterations int    `json:"iterations"`
+	Seed       uint64 `json:"seed"`
 	// JobID and DependsOn surface the run's batch-DAG edges (absent
 	// for single runs and edge-free batches).
-	JobID     string   `json:"jobId,omitempty"`
-	DependsOn []string `json:"dependsOn,omitempty"`
-	Speedup   float64  `json:"speedupFull,omitempty"`
-	Err        string  `json:"error,omitempty"`
-	Start      string  `json:"start"`
-	DurationMS float64 `json:"durationMs"`
-	HasTrace   bool    `json:"hasTrace"`
-	// HasWallTrace reports whether a wall-clock trace is retained;
-	// TraceID keys the run into the OTLP export when it is.
+	JobID      string   `json:"jobId,omitempty"`
+	DependsOn  []string `json:"dependsOn,omitempty"`
+	Speedup    float64  `json:"speedupFull,omitempty"`
+	Err        string   `json:"error,omitempty"`
+	Start      string   `json:"start"`
+	DurationMS float64  `json:"durationMs"`
+	HasTrace   bool     `json:"hasTrace"`
+	// HasWallTrace reports whether the run's request tree is retained
+	// for the wall-clock export; it always equals HasTrace, since both
+	// exports render the same tree. TraceID keys the run into the OTLP
+	// export.
 	HasWallTrace bool   `json:"hasWallTrace"`
 	TraceID      string `json:"traceId,omitempty"`
 }
@@ -50,11 +52,11 @@ func summarize(e Entry) Summary {
 		Err:        e.Err,
 		Start:      e.Start.UTC().Format("2006-01-02T15:04:05.000Z07:00"),
 		DurationMS: float64(e.Duration.Microseconds()) / 1e3,
-		HasTrace:   e.Trace != nil,
+		HasTrace:   e.Run != nil,
 	}
-	if e.WallTrace != nil {
+	if e.Run != nil {
 		s.HasWallTrace = true
-		s.TraceID = e.WallTrace.TraceID().String()
+		s.TraceID = e.TraceID.String()
 	}
 	if e.Err == "" {
 		s.Iterations = e.Report.Iterations

@@ -1,13 +1,13 @@
 package flight
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
-	"grophecy/internal/telemetry"
 	"grophecy/internal/trace"
 )
 
@@ -18,6 +18,15 @@ func closedTracer() *trace.Tracer {
 	return tr
 }
 
+// addRun records e with tr's root as its run and then drops the
+// creator's hold, the way a request hands its tree to the ring when
+// it finishes.
+func addRun(r *Recorder, e Entry, tr *trace.Tracer) {
+	e.Run = tr.Root()
+	r.Add(e)
+	tr.Release()
+}
+
 // TestEvictionReleasesTrace is the PR 7 leak regression: the flight
 // ring was the one place that retained simulated trace trees forever,
 // never returning their pooled spans. Eviction must release them.
@@ -26,9 +35,7 @@ func TestEvictionReleasesTrace(t *testing.T) {
 	tracers := make([]*trace.Tracer, 4)
 	for i := range tracers {
 		tracers[i] = closedTracer()
-		e := entry(i)
-		e.Trace = tracers[i]
-		r.Add(e)
+		addRun(r, entry(i), tracers[i])
 	}
 	for i, tr := range tracers {
 		if evicted := i < 2; tr.Released() != evicted {
@@ -46,22 +53,46 @@ func TestEvictionReleasesTrace(t *testing.T) {
 }
 
 // TestEvictionSparesSharedTracer: when two ring slots share one
-// tracer (duplicate adds of the same run), evicting the older slot
-// must not release spans the younger still references.
+// tree (duplicate adds of the same run, or two jobs of one batch),
+// evicting the older slot must not release spans the younger still
+// references.
 func TestEvictionSparesSharedTracer(t *testing.T) {
 	r := MustNew(2)
 	shared := closedTracer()
 	a, b := entry(0), entry(0)
-	a.Trace, b.Trace = shared, shared
+	a.Run, b.Run = shared.Root(), shared.Root()
 	r.Add(a)
 	r.Add(b)
-	r.Add(entry(1)) // evicts a; b still holds shared
+	shared.Release() // the request is done with the tree
+	r.Add(entry(1))  // evicts a; b still holds shared
 	if shared.Released() {
 		t.Fatal("shared tracer released while a retained slot still references it")
 	}
 	r.Add(entry(2)) // evicts b; now the trace's life has ended
 	if !shared.Released() {
 		t.Fatal("shared tracer not released after its last reference left the ring")
+	}
+}
+
+// TestEvictionWaitsForRequest: a tree evicted from the ring while its
+// request still holds it (for the OTLP export) survives until the
+// request lets go.
+func TestEvictionWaitsForRequest(t *testing.T) {
+	r := MustNew(1)
+	tr := closedTracer()
+	e := entry(0)
+	e.Run = tr.Root()
+	r.Add(e)
+	r.Add(entry(1)) // evicts run-0 while the request still holds tr
+	if tr.Released() {
+		t.Fatal("tree released while its request still holds it")
+	}
+	if _, err := tr.OTLP(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Release()
+	if !tr.Released() {
+		t.Fatal("tree not released after the request let go")
 	}
 }
 
@@ -75,9 +106,7 @@ func TestExportRacesEviction(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
-			e := entry(i)
-			e.Trace = closedTracer()
-			r.Add(e)
+			addRun(r, entry(i), closedTracer())
 		}
 	}()
 	go func() {
@@ -86,6 +115,7 @@ func TestExportRacesEviction(t *testing.T) {
 			// Export whatever is currently retained.
 			for _, e := range r.Entries() {
 				r.TraceJSON(e.ID)
+				r.WallTraceJSON(e.ID)
 			}
 		}
 	}()
@@ -94,10 +124,14 @@ func TestExportRacesEviction(t *testing.T) {
 
 func TestWallTraceEndpoint(t *testing.T) {
 	r := MustNew(4)
-	wt := telemetry.New("grophecyd")
+	wt := trace.NewRequest("grophecyd", trace.SpanContext{})
+	ctx, run := trace.StartRun(trace.With(context.Background(), wt), "grophecyd")
+	_, stage := trace.StartWall(ctx, "stage.kernels")
+	stage.End()
+	run.End()
 	wt.Close()
 	e := entry(1)
-	e.WallTrace = wt
+	e.Run = run
 	r.Add(e)
 	r.Add(entry(2)) // no wall trace
 
@@ -125,8 +159,20 @@ func TestWallTraceEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 	spans := doc.ResourceSpans[0].ScopeSpans[0].Spans
-	if len(spans) == 0 || spans[0].TraceID != wt.TraceID().String() {
-		t.Fatalf("walltrace spans = %+v, want trace %s", spans, wt.TraceID())
+	if len(spans) != 3 || spans[0].TraceID != wt.TraceID().String() || spans[2].Name != "stage.kernels" {
+		t.Fatalf("walltrace spans = %+v, want the request root, run and stage of trace %s", spans, wt.TraceID())
+	}
+	// The simulated export of the same run leaves the service span out.
+	chrome, err := r.TraceJSON("run-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ct trace.ChromeTrace
+	if err := json.Unmarshal(chrome, &ct); err != nil {
+		t.Fatal(err)
+	}
+	if len(ct.TraceEvents) != 2 || ct.TraceEvents[1].Name != "grophecyd" {
+		t.Fatalf("run trace events = %+v, want metadata and the run span", ct.TraceEvents)
 	}
 
 	// Index advertises the wall trace and its trace ID.

@@ -45,6 +45,7 @@ const (
 	runKey
 	workloadKey
 	phaseKey
+	eventKey
 )
 
 // runSeq numbers run IDs process-wide. Deterministic for a

@@ -11,9 +11,9 @@
 // ones); the tracker computes both from one ring of per-second
 // buckets so Record stays O(1) and Snapshot O(ring).
 //
-// Like internal/telemetry — and unlike everything the projection
-// pipeline computes — these are *wall-clock* quantities with no
-// determinism obligations.
+// Like the wall-clock side of internal/trace — and unlike everything
+// the projection pipeline computes — these are *wall-clock* quantities
+// with no determinism obligations.
 package slo
 
 import (

@@ -51,7 +51,7 @@ import (
 	"grophecy/internal/fault"
 	"grophecy/internal/metrics"
 	"grophecy/internal/pcie"
-	"grophecy/internal/telemetry"
+	"grophecy/internal/trace"
 	"grophecy/internal/xfermodel"
 )
 
@@ -237,18 +237,18 @@ func (s *Store) Put(e Entry) error {
 }
 
 // PutCtx is Put under a context: when the context carries a request
-// wall tracer (the daemon's write-through path), the snapshot I/O
-// shows up on the request's trace as a snap.put span.
+// tracer (the daemon's write-through path), the snapshot I/O shows up
+// on the request's trace as a snap.put wall span.
 func (s *Store) PutCtx(ctx context.Context, e Entry) error {
-	_, span := telemetry.Start(ctx, "snap.put")
-	span.SetAttr(telemetry.String("snap_target", e.Key.Target))
+	_, span := trace.StartWall(ctx, "snap.put")
+	span.SetAttr(trace.String("snap_target", e.Key.Target))
 	defer span.End()
 	if err := s.put(e); err != nil {
-		span.SetAttr(telemetry.Bool("snap_ok", false))
+		span.SetAttr(trace.Bool("snap_ok", false))
 		mWriteErrors.Inc()
 		return err
 	}
-	span.SetAttr(telemetry.Bool("snap_ok", true))
+	span.SetAttr(trace.Bool("snap_ok", true))
 	mWrites.Inc()
 	return nil
 }
@@ -312,8 +312,8 @@ func (s *Store) SaveAll(entries []Entry) error {
 // SaveAllCtx is SaveAll under a context, wrapped in a snap.save wall
 // span when one is being recorded.
 func (s *Store) SaveAllCtx(ctx context.Context, entries []Entry) error {
-	ctx, span := telemetry.Start(ctx, "snap.save")
-	span.SetAttr(telemetry.Int("snap_entries", int64(len(entries))))
+	ctx, span := trace.StartWall(ctx, "snap.save")
+	span.SetAttr(trace.Int("snap_entries", int64(len(entries))))
 	defer span.End()
 	var errs []error
 	for _, e := range entries {
@@ -355,12 +355,12 @@ func (s *Store) Load() (Result, error) {
 // LoadCtx is Load under a context, wrapped in a snap.load wall span
 // (with the warm-start outcome as attributes) when one is recorded.
 func (s *Store) LoadCtx(ctx context.Context) (Result, error) {
-	_, span := telemetry.Start(ctx, "snap.load")
+	_, span := trace.StartWall(ctx, "snap.load")
 	defer span.End()
 	res, err := s.load()
-	span.SetAttr(telemetry.Int("snap_loaded", int64(len(res.Entries))))
-	span.SetAttr(telemetry.Int("snap_stale", int64(res.Stale)))
-	span.SetAttr(telemetry.Int("snap_quarantined", int64(res.Quarantined)))
+	span.SetAttr(trace.Int("snap_loaded", int64(len(res.Entries))))
+	span.SetAttr(trace.Int("snap_stale", int64(res.Stale)))
+	span.SetAttr(trace.Int("snap_quarantined", int64(res.Quarantined)))
 	return res, err
 }
 

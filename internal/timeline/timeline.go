@@ -273,7 +273,7 @@ func ToTrace(events []Event) (*trace.Tracer, error) {
 	t := trace.New("timeline")
 	ctx := trace.With(context.Background(), t)
 	for _, e := range events {
-		now := t.Now()
+		now := t.Root().Interval().End()
 		if e.Start < now-1e-12*(1+now) {
 			return nil, fmt.Errorf("timeline: event %q starts at %g, before the previous event ends (%g)",
 				e.Label, e.Start, now)

@@ -37,14 +37,26 @@ type ChromeTrace struct {
 // filtering.
 const chromeCategory = "sim"
 
-// ChromeJSON exports the trace as a Chrome trace_event JSON document.
-// Spans still open at export time extend to the current simulated
-// clock. The export is deterministic: events appear depth-first in
-// creation order and args keys are sorted by the JSON encoder.
+// ChromeJSON exports the trace's root run as a Chrome trace_event
+// JSON document (see Span.ChromeJSON).
 func (t *Tracer) ChromeJSON() ([]byte, error) {
 	if t == nil {
 		return nil, fmt.Errorf("trace: nil tracer")
 	}
+	return t.Root().ChromeJSON()
+}
+
+// ChromeJSON exports the span's subtree — normally a run — as a Chrome
+// trace_event JSON document in simulated time. Service spans are
+// skipped and their children emitted in their place; spans still open
+// at export time extend to the current simulated clock. The export is
+// deterministic: events appear depth-first in creation order and args
+// keys are sorted by the JSON encoder.
+func (s *Span) ChromeJSON() ([]byte, error) {
+	if s == nil {
+		return nil, fmt.Errorf("trace: nil span")
+	}
+	s.tr.mu.Lock()
 	doc := ChromeTrace{
 		DisplayTimeUnit: "ms",
 		TraceEvents: []ChromeEvent{{
@@ -52,13 +64,13 @@ func (t *Tracer) ChromeJSON() ([]byte, error) {
 			Phase: "M",
 			Pid:   1,
 			Tid:   1,
-			Args:  map[string]string{"name": t.Root().Name()},
+			Args:  map[string]string{"name": s.name},
 		}},
 	}
-	t.Walk(func(s *Span, depth int) {
-		iv := s.Interval()
+	walkTimeline(s, 0, func(s *Span, _ int) {
+		iv := s.intervalLocked()
 		ev := ChromeEvent{
-			Name:  s.Name(),
+			Name:  s.name,
 			Phase: "X",
 			Ts:    iv.Start * 1e6,
 			Dur:   iv.Duration * 1e6,
@@ -66,7 +78,7 @@ func (t *Tracer) ChromeJSON() ([]byte, error) {
 			Tid:   1,
 			Cat:   chromeCategory,
 		}
-		if attrs := s.Attrs(); len(attrs) > 0 {
+		if attrs := s.sortedAttrsLocked(); len(attrs) > 0 {
 			ev.Args = make(map[string]string, len(attrs))
 			for _, a := range attrs {
 				ev.Args[a.Key] = a.Value
@@ -74,5 +86,6 @@ func (t *Tracer) ChromeJSON() ([]byte, error) {
 		}
 		doc.TraceEvents = append(doc.TraceEvents, ev)
 	})
+	s.tr.mu.Unlock()
 	return json.MarshalIndent(doc, "", "  ")
 }

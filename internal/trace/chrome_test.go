@@ -60,7 +60,7 @@ func buildFromOps(ops []byte) (*Tracer, int) {
 		switch op % 5 {
 		case 0, 1:
 			top := stack[len(stack)-1]
-			s := tr.startChild(top, fmt.Sprintf("s%d", i), []Attr{Int("i", int64(i))})
+			s := tr.startChild(top, fmt.Sprintf("s%d", i), kindSim, []Attr{Int("i", int64(i))})
 			stack = append(stack, s)
 			spans++
 		case 2:
