@@ -6,6 +6,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -337,7 +338,7 @@ func TestBatchFromParentBestTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := core.NewProjector(tgt.Machine(seed))
+		p, err := core.New(context.Background(), tgt.Machine(seed), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,6 @@ import (
 	"grophecy/internal/obs"
 	"grophecy/internal/target"
 	"grophecy/internal/trace"
-	"grophecy/internal/xfermodel"
 )
 
 func main() {
@@ -83,9 +82,7 @@ func main() {
 		}
 		backendName = b.Name()
 	}
-	calCfg := xfermodel.DefaultCalibration()
-	calCfg.Kind = tgt.Memory
-	proj, _, err := core.NewBackendProjector(tctx, tgt.Machine(*seed), backendName, calCfg)
+	proj, err := core.New(tctx, tgt.Machine(*seed), core.Options{Backend: backendName, Memory: tgt.Memory})
 	if err != nil {
 		fatal(err)
 	}

@@ -71,7 +71,7 @@ func main() {
 	if *ls {
 		fmt.Println("calibration: ordinary least squares over the full sweep (ablation)")
 		calSpan.SetAttr(trace.String("scheme", "least-squares"))
-		model, err = xfermodel.CalibrateLeastSquares(bus, cfg, sizes)
+		model, err = xfermodel.CalibrateLeastSquares(xfermodel.MeanSampler(bus, cfg.Runs), cfg, sizes)
 	} else {
 		fmt.Printf("calibration: two-point (%s and %s, %d runs each; paper §III-C)\n",
 			units.FormatBytes(cfg.SmallSize), units.FormatBytes(cfg.LargeSize), cfg.Runs)

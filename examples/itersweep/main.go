@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	projector, err := core.NewProjector(core.NewMachine(3))
+	projector, err := core.New(context.Background(), core.NewMachine(3), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

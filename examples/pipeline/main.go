@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,7 @@ func main() {
 		Regions: 4,
 	}
 
-	projector, err := core.NewProjector(core.NewMachine(13))
+	projector, err := core.New(context.Background(), core.NewMachine(13), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,7 +59,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			projector, err := core.NewProjector(tgt.Machine(7))
+			projector, err := core.New(context.Background(), tgt.Machine(7), core.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}

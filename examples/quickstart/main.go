@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -77,7 +78,7 @@ func main() {
 
 	// Step 2: the machine and the auto-calibrated projector.
 	machine := core.NewMachine(1)
-	projector, err := core.NewProjector(machine)
+	projector, err := core.New(context.Background(), machine, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	machine := core.NewMachine(9)
-	projector, err := core.NewProjector(machine)
+	projector, err := core.New(context.Background(), machine, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,7 +62,7 @@ func vecAdd(n int64) core.Workload {
 }
 
 func main() {
-	projector, err := core.NewProjector(core.NewMachine(2))
+	projector, err := core.New(context.Background(), core.NewMachine(2), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

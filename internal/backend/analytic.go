@@ -31,7 +31,18 @@ func (analyticBackend) Calibrate(ctx context.Context, comp Components, cfg xferm
 	if comp.Bus == nil {
 		return Instance{}, Fit{}, fmt.Errorf("backend: analytic calibration needs a bus")
 	}
-	bm, err := xfermodel.CalibrateTwoPoint(comp.Bus, cfg)
+	var (
+		bm     xfermodel.BusModel
+		health *xfermodel.Health
+		err    error
+	)
+	if comp.Meter != nil {
+		// The resilient two-point scheme keeps the paper's structure
+		// but walks a degradation ladder instead of failing.
+		bm, health, err = xfermodel.CalibrateResilient(ctx, comp.Meter, comp.Source, cfg)
+	} else {
+		bm, err = xfermodel.CalibrateTwoPoint(comp.Bus, cfg)
+	}
 	if err != nil {
 		return Instance{}, Fit{}, err
 	}
@@ -39,7 +50,9 @@ func (analyticBackend) Calibrate(ctx context.Context, comp Components, cfg xferm
 	if err != nil {
 		return Instance{}, Fit{}, fmt.Errorf("backend: encoding analytic fit: %w", err)
 	}
-	return AnalyticInstance(bm), Fit{Backend: "analytic", Kind: cfg.Kind, Payload: payload}, nil
+	inst := analyticInstance(bm)
+	inst.Health = health
+	return inst, Fit{Backend: "analytic", Kind: cfg.Kind, Payload: payload}, nil
 }
 
 func (b analyticBackend) Restore(fit Fit) (Instance, error) {
@@ -53,14 +66,12 @@ func (b analyticBackend) Restore(fit Fit) (Instance, error) {
 	if !bm.Valid() || bm.Kind != fit.Kind {
 		return Instance{}, fmt.Errorf("backend: analytic fit payload is implausible")
 	}
-	return AnalyticInstance(bm), nil
+	return analyticInstance(bm), nil
 }
 
-// AnalyticInstance wraps an already-calibrated bus model in the
-// analytic backend's predictors. It is how the legacy construction
-// paths in internal/core (pre-calibrated models, the resilient
-// degradation ladder) re-enter the backend world without recalibrating.
-func AnalyticInstance(bm xfermodel.BusModel) Instance {
+// analyticInstance wraps an already-calibrated bus model in the
+// analytic backend's predictors.
+func analyticInstance(bm xfermodel.BusModel) Instance {
 	return Instance{
 		Kernel:   analyticKernels{},
 		Transfer: analyticTransfers{bm: bm},

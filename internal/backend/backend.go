@@ -39,6 +39,7 @@ import (
 
 	"grophecy/internal/errdefs"
 	"grophecy/internal/gpu"
+	"grophecy/internal/measure"
 	"grophecy/internal/pcie"
 	"grophecy/internal/perfmodel"
 	"grophecy/internal/skeleton"
@@ -73,6 +74,24 @@ type Components struct {
 	// Seed is the machine seed; scratch simulators used by fitting
 	// microbenchmarks derive their own streams from it.
 	Seed uint64
+
+	// Meter, when non-nil, selects the resilient measurement protocol:
+	// every calibration transfer is observed through Source (the
+	// fault-wrapped bus) and estimated by Meter, and the returned
+	// Instance carries the calibration's Health. Nil is the paper's
+	// raw mean of cfg.Runs transfers on Bus.
+	Meter  *measure.Meter
+	Source measure.Source
+}
+
+// sampler returns the calibration-point protocol comp selects and the
+// health record it fills (nil for the raw protocol).
+func (c Components) sampler(ctx context.Context, runs int) (xfermodel.Sampler, *xfermodel.Health) {
+	if c.Meter == nil {
+		return xfermodel.MeanSampler(c.Bus, runs), nil
+	}
+	h := &xfermodel.Health{}
+	return xfermodel.RobustSampler(ctx, c.Meter, c.Source, h), h
 }
 
 // Instance is a calibrated backend ready to predict.
@@ -84,6 +103,9 @@ type Instance struct {
 	// and GET /targets render regardless of how the backend actually
 	// predicts.
 	Linear xfermodel.BusModel
+	// Health records what a resilient calibration had to do (nil for
+	// the raw protocol and for restored instances).
+	Health *xfermodel.Health
 }
 
 // Fit is a backend's portable calibration artifact: everything needed

@@ -216,7 +216,7 @@ func TestFittedLeavesBusDrawsIdentical(t *testing.T) {
 	}
 	b := components(11)
 	grid := cfg.Sizes
-	if _, err := xfermodel.CalibrateLeastSquares(b.Bus, cfg, grid); err != nil {
+	if _, err := xfermodel.CalibrateLeastSquares(xfermodel.MeanSampler(b.Bus, cfg.Runs), cfg, grid); err != nil {
 		t.Fatal(err)
 	}
 	if a.Bus.NoiseState() != b.Bus.NoiseState() {

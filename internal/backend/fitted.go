@@ -137,7 +137,8 @@ func (fittedBackend) Calibrate(ctx context.Context, comp Components, cfg xfermod
 	if err := comp.Arch.Validate(); err != nil {
 		return Instance{}, Fit{}, fmt.Errorf("backend: fitted calibration needs an architecture: %w", err)
 	}
-	bm, err := xfermodel.CalibrateLeastSquares(comp.Bus, cfg, fittedGrid(cfg))
+	sample, health := comp.sampler(ctx, cfg.Runs)
+	bm, err := xfermodel.CalibrateLeastSquares(sample, cfg, fittedGrid(cfg))
 	if err != nil {
 		return Instance{}, Fit{}, err
 	}
@@ -182,6 +183,7 @@ func (fittedBackend) Calibrate(ctx context.Context, comp Components, cfg xfermod
 		Kernel:   fittedKernels{coef: coef},
 		Transfer: analyticTransfers{bm: bm},
 		Linear:   bm,
+		Health:   health,
 	}
 	return inst, Fit{Backend: "fitted", Kind: cfg.Kind, Payload: payload}, nil
 }

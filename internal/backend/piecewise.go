@@ -26,7 +26,8 @@ func (piecewiseBackend) Calibrate(ctx context.Context, comp Components, cfg xfer
 	if comp.Bus == nil {
 		return Instance{}, Fit{}, fmt.Errorf("backend: piecewise calibration needs a bus")
 	}
-	pm, err := xfermodel.CalibratePiecewise(comp.Bus, cfg)
+	sample, health := comp.sampler(ctx, cfg.Runs)
+	pm, err := xfermodel.CalibratePiecewise(sample, cfg)
 	if err != nil {
 		return Instance{}, Fit{}, err
 	}
@@ -34,7 +35,9 @@ func (piecewiseBackend) Calibrate(ctx context.Context, comp Components, cfg xfer
 	if err != nil {
 		return Instance{}, Fit{}, fmt.Errorf("backend: encoding piecewise fit: %w", err)
 	}
-	return piecewiseInstance(pm), Fit{Backend: "piecewise", Kind: cfg.Kind, Payload: payload}, nil
+	inst := piecewiseInstance(pm)
+	inst.Health = health
+	return inst, Fit{Backend: "piecewise", Kind: cfg.Kind, Payload: payload}, nil
 }
 
 func (b piecewiseBackend) Restore(fit Fit) (Instance, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -47,14 +48,14 @@ func testWorkload(n int64, iters int) Workload {
 
 func newProjector(t *testing.T) *Projector {
 	t.Helper()
-	p, err := NewProjector(NewMachine(42))
+	p, err := New(context.Background(), NewMachine(42), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-func TestNewProjectorCalibrates(t *testing.T) {
+func TestNewCalibrates(t *testing.T) {
 	p := newProjector(t)
 	if !p.BusModel().Valid() {
 		t.Error("projector has invalid bus model")

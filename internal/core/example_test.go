@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"grophecy/internal/core"
@@ -38,7 +39,7 @@ func Example() {
 		},
 	}
 
-	projector, err := core.NewProjector(core.NewMachine(1))
+	projector, err := core.New(context.Background(), core.NewMachine(1), core.Options{})
 	if err != nil {
 		panic(err)
 	}

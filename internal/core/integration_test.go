@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +26,7 @@ func TestCrossArchitectureProjection(t *testing.T) {
 	var results []result
 	for _, arch := range gpu.Presets() {
 		m := NewMachineWith(arch, cpumodel.XeonE5405(), pcie.DefaultConfig(), 11)
-		p, err := NewProjector(m)
+		p, err := New(context.Background(), m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +123,11 @@ func TestMeasurementProtocolAveragesTenRuns(t *testing.T) {
 
 func TestSeededMachinesAreIndependent(t *testing.T) {
 	w := testWorkload(256, 1)
-	p1, err := NewProjector(NewMachine(1))
+	p1, err := New(context.Background(), NewMachine(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := NewProjector(NewMachine(2))
+	p2, err := New(context.Background(), NewMachine(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -34,7 +35,7 @@ func TestConcurrentEvaluationsAreIdentical(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				p, err := NewProjector(NewMachine(42))
+				p, err := New(context.Background(), NewMachine(42), Options{})
 				if err != nil {
 					errs[g*rounds+r] = err
 					return
@@ -84,7 +85,7 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 		wg.Add(1)
 		go func(n int64) {
 			defer wg.Done()
-			p, err := NewProjector(NewMachine(42))
+			p, err := New(context.Background(), NewMachine(42), Options{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -109,7 +110,7 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 
 func evaluateOnce(t *testing.T, w Workload) Report {
 	t.Helper()
-	p, err := NewProjector(NewMachine(42))
+	p, err := New(context.Background(), NewMachine(42), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

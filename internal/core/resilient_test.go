@@ -7,11 +7,10 @@ import (
 	"math"
 	"testing"
 
+	"grophecy/internal/backend"
 	"grophecy/internal/bench"
 	"grophecy/internal/core"
 	"grophecy/internal/fault"
-	"grophecy/internal/measure"
-	"grophecy/internal/pcie"
 )
 
 const machineSeed = 42
@@ -53,7 +52,7 @@ func resilientReports(t *testing.T, plan fault.Plan) []byte {
 	ctx := context.Background()
 	machine := core.NewMachine(machineSeed)
 	machine.ArmFaults(plan)
-	p, err := core.NewResilientProjector(ctx, machine, pcie.Pinned, measure.DefaultConfig())
+	p, err := core.New(ctx, machine, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestResilientReportsByteIdentical(t *testing.T) {
 
 func TestResilientSpeedupWithinMarginOfClean(t *testing.T) {
 	// Clean baseline: the paper's raw pipeline, no faults.
-	clean, err := core.NewProjector(core.NewMachine(machineSeed))
+	clean, err := core.New(context.Background(), core.NewMachine(machineSeed), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestResilientSpeedupWithinMarginOfClean(t *testing.T) {
 	ctx := context.Background()
 	machine := core.NewMachine(machineSeed)
 	machine.ArmFaults(acceptancePlan())
-	faulty, err := core.NewResilientProjector(ctx, machine, pcie.Pinned, measure.DefaultConfig())
+	faulty, err := core.New(ctx, machine, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestResilientDegradationsReported(t *testing.T) {
 	ctx := context.Background()
 	machine := core.NewMachine(machineSeed)
 	machine.ArmFaults(plan)
-	p, err := core.NewResilientProjector(ctx, machine, pcie.Pinned, measure.DefaultConfig())
+	p, err := core.New(ctx, machine, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestResilientEvaluateCancelled(t *testing.T) {
 	ctx := context.Background()
 	machine := core.NewMachine(machineSeed)
 	machine.ArmFaults(acceptancePlan())
-	p, err := core.NewResilientProjector(ctx, machine, pcie.Pinned, measure.DefaultConfig())
+	p, err := core.New(ctx, machine, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +158,53 @@ func TestResilientEvaluateCancelled(t *testing.T) {
 	w := benchWorkloads(t)[0]
 	if _, err := p.EvaluateCtx(cancelled, w); err == nil {
 		t.Fatal("cancelled evaluation succeeded")
+	}
+}
+
+// TestRestoreMatchesLiveUnderFaults: for every backend, a projector
+// restored from an armed calibration on a freshly armed machine
+// evaluates byte-identically to the projector that calibrated — the
+// property the calibration pool relies on to cache resilient
+// calibrations.
+func TestRestoreMatchesLiveUnderFaults(t *testing.T) {
+	ctx := context.Background()
+	w := benchWorkloads(t)[1]
+	for _, bk := range backend.Default.Names() {
+		t.Run(bk, func(t *testing.T) {
+			m := core.NewMachine(machineSeed)
+			m.ArmFaults(acceptancePlan())
+			live, err := core.New(ctx, m, core.Options{Backend: bk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live.Health() == nil {
+				t.Fatal("armed calibration recorded no health")
+			}
+			m2 := core.NewMachine(machineSeed)
+			m2.ArmFaults(acceptancePlan())
+			restored, err := core.Restore(m2, live.Calibration())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.Restore(core.NewMachine(machineSeed), live.Calibration()); err == nil {
+				t.Error("armed calibration restored onto a clean machine")
+			}
+			a, err := live.EvaluateCtx(ctx, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := restored.EvaluateCtx(ctx, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ja, _ := json.Marshal(a)
+			jb, _ := json.Marshal(b)
+			if !a.Resilient || !bytes.Equal(ja, jb) {
+				t.Errorf("restored %s projector diverged from the live armed calibration", bk)
+			}
+			if m.Faults.Stats() != m2.Faults.Stats() {
+				t.Errorf("fault stats diverged: live %v, restored %v", m.Faults.Stats(), m2.Faults.Stats())
+			}
+		})
 	}
 }

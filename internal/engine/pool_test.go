@@ -14,6 +14,7 @@ import (
 	"grophecy/internal/core"
 	"grophecy/internal/cpumodel"
 	"grophecy/internal/errdefs"
+	"grophecy/internal/fault"
 	"grophecy/internal/gpu"
 	"grophecy/internal/pcie"
 	"grophecy/internal/report"
@@ -38,7 +39,7 @@ func workload(t *testing.T) core.Workload {
 
 func freshJSON(t *testing.T, tgt target.Target, w core.Workload) []byte {
 	t.Helper()
-	p, err := core.NewProjector(tgt.Machine(seed))
+	p, err := core.New(context.Background(), tgt.Machine(seed), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,5 +539,134 @@ func TestPoolBackendKeysNeverShareFlights(t *testing.T) {
 		if e.Fit.Backend != bk {
 			t.Errorf("cached entry for %q carries a fit from %q", bk, e.Fit.Backend)
 		}
+	}
+}
+
+// armedPlan is the fault plan the armed-pool tests run under.
+func armedPlan(t *testing.T) fault.Plan {
+	t.Helper()
+	plan, err := fault.ParsePlan("transient=0.02,outlier=0.01:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// TestArmedPoolWaiterRetriesAfterOwnerCancelled: the owner of a
+// fault-armed flight is cancelled while its resilient calibration is
+// under way. The calibration reports the cancellation wrapped in
+// errdefs.ErrMeasureTimeout; the pool must still recognise it as the
+// owner's cancellation, so the waiter becomes the new owner and
+// succeeds and the key's breaker never counts it.
+func TestArmedPoolWaiterRetriesAfterOwnerCancelled(t *testing.T) {
+	tgt, err := target.Lookup(target.DefaultName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bk := range backend.Default.Names() {
+		t.Run(bk, func(t *testing.T) {
+			pool := NewPoolWith(Config{Faults: armedPlan(t), BreakerThreshold: 1})
+			entered := make(chan struct{})
+			gate := make(chan struct{})
+			var once sync.Once
+			pool.calibrateHook = func(Key) {
+				blocked := false
+				once.Do(func() { blocked = true })
+				if blocked {
+					close(entered)
+					<-gate
+				}
+			}
+
+			ownerCtx, cancel := context.WithCancel(context.Background())
+			ownerErr := make(chan error, 1)
+			go func() {
+				_, err := pool.Projector(ownerCtx, tgt, bk, seed, pcie.Pinned)
+				ownerErr <- err
+			}()
+			<-entered
+			waiterRes := make(chan error, 1)
+			go func() {
+				_, err := pool.Projector(context.Background(), tgt, bk, seed, pcie.Pinned)
+				waiterRes <- err
+			}()
+			// Whether the waiter joins the flight before the owner fails
+			// or arrives after, a failure counted against the key would
+			// open its breaker (threshold 1) and fail the waiter.
+			cancel()
+			close(gate)
+
+			if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled owner returned %v, want one wrapping context.Canceled", err)
+			}
+			select {
+			case err := <-waiterRes:
+				if err != nil {
+					t.Errorf("waiter inherited the owner's cancellation: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("waiter hung after the owner was cancelled")
+			}
+			if open := pool.OpenBreakers(); len(open) != 0 {
+				t.Errorf("owner cancellation opened breakers: %v", open)
+			}
+		})
+	}
+}
+
+// TestArmedPoolMatchesFreshArmedMachine: for every backend, a
+// fault-armed pool's miss and hit both evaluate byte-identically to
+// core.New on a freshly armed machine, and armed entries are never
+// exported or written through.
+func TestArmedPoolMatchesFreshArmedMachine(t *testing.T) {
+	tgt, err := target.Lookup(target.DefaultName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workload(t)
+	plan := armedPlan(t)
+	written := 0
+	pool := NewPoolWith(Config{Faults: plan, OnCalibrated: func(context.Context, Entry) { written++ }})
+	eval := func(p *core.Projector) []byte {
+		t.Helper()
+		rep, err := p.Evaluate(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Resilient {
+			t.Error("armed pool served a non-resilient report")
+		}
+		data, err := report.JSON(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, bk := range backend.Default.Names() {
+		m := tgt.Machine(seed)
+		m.ArmFaults(plan)
+		fresh, err := core.New(context.Background(), m, core.Options{Backend: bk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := eval(fresh)
+		for _, what := range []string{"miss", "hit"} {
+			p, err := pool.Projector(context.Background(), tgt, bk, seed, pcie.Pinned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := eval(p); !bytes.Equal(got, want) {
+				t.Errorf("%s: pool %s diverged from a freshly armed machine", bk, what)
+			}
+		}
+		if _, ok := pool.Cached(pool.Key(tgt.Name, bk, pcie.Pinned, seed)); !ok {
+			t.Errorf("%s: armed key not cached under the plan fingerprint", bk)
+		}
+	}
+	if got, want := pool.Misses(), int64(len(backend.Default.Names())); got != want {
+		t.Errorf("misses = %d, want %d (one calibration per backend)", got, want)
+	}
+	if n := len(pool.Export()); n != 0 || written != 0 {
+		t.Errorf("armed entries persisted: %d exported, %d written through", n, written)
 	}
 }

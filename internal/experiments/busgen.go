@@ -50,7 +50,7 @@ func BusGenerationsCtx(ctx context.Context, seed uint64) ([]BusGenRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := core.NewProjector(tgt.Machine(seed))
+		p, err := core.New(ctx, tgt.Machine(seed), core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", gen.Name, err)
 		}

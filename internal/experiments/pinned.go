@@ -48,7 +48,7 @@ func PinnedAssumptionCtx(ctx context.Context, seed uint64) ([]PinnedRow, error) 
 	}
 	for _, kind := range []pcie.MemoryKind{pcie.Pinned, pcie.Pageable} {
 		m := core.NewMachine(seed)
-		p, err := core.NewProjectorWith(m, kind)
+		p, err := core.New(ctx, m, core.Options{Memory: kind})
 		if err != nil {
 			return nil, err
 		}

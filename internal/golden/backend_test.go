@@ -11,22 +11,18 @@ import (
 	"grophecy/internal/experiments"
 	"grophecy/internal/report"
 	"grophecy/internal/sklang"
-	"grophecy/internal/xfermodel"
 )
 
 // evaluateBackend runs the full pipeline on one skeleton file through
 // a named prediction backend at the default seed, exactly as
-// `grophecy -skeleton ... -backend ...` does. It returns both the
-// report and the calibration fit so tests can exercise the restore
-// path.
-func evaluateBackend(t *testing.T, name, backendName string) (core.Report, backend.Fit) {
+// `grophecy -skeleton ... -backend ...` does.
+func evaluateBackend(t *testing.T, name, backendName string) core.Report {
 	t.Helper()
 	w, err := sklang.ParseFile(filepath.Join("..", "..", "skeletons", name+".sk"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, fit, err := core.NewBackendProjector(context.Background(),
-		core.NewMachine(experiments.DefaultSeed), backendName, xfermodel.DefaultCalibration())
+	p, err := core.New(context.Background(), core.NewMachine(experiments.DefaultSeed), core.Options{Backend: backendName})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +30,7 @@ func evaluateBackend(t *testing.T, name, backendName string) (core.Report, backe
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, fit
+	return rep
 }
 
 // TestBackendGoldenReports pins the fitted and piecewise backends'
@@ -45,7 +41,7 @@ func TestBackendGoldenReports(t *testing.T) {
 	for _, bk := range []string{"fitted", "piecewise"} {
 		for _, name := range skeletons {
 			t.Run(bk+"/"+name, func(t *testing.T) {
-				rep, _ := evaluateBackend(t, name, bk)
+				rep := evaluateBackend(t, name, bk)
 				check(t, name+"-"+bk+".txt", []byte(report.Text(rep)))
 			})
 		}
@@ -55,19 +51,19 @@ func TestBackendGoldenReports(t *testing.T) {
 // TestAnalyticBackendByteIdentity is the refactor's core contract:
 // the analytic backend resolved through the registry produces reports
 // byte-identical to the pre-backend golden files — the same files
-// TestGoldenTextReports checks through the legacy core.NewProjector
-// constructor. A diff here means the Backend indirection changed a
-// noise draw or a prediction on the default path.
+// TestGoldenTextReports checks through core.New's zero Options. A
+// diff here means naming the backend changed a noise draw or a
+// prediction on the default path.
 func TestAnalyticBackendByteIdentity(t *testing.T) {
 	for _, name := range skeletons {
 		t.Run(name, func(t *testing.T) {
-			rep, _ := evaluateBackend(t, name, backend.DefaultName)
+			rep := evaluateBackend(t, name, backend.DefaultName)
 			got := []byte(report.Text(rep))
 			// Never -update through this test: the analytic files are
 			// owned by TestGoldenTextReports; this test only verifies.
 			legacy := []byte(report.Text(evaluate(t, name)))
 			if !bytes.Equal(got, legacy) {
-				t.Fatalf("analytic backend diverged from core.NewProjector on %s", name)
+				t.Fatalf("analytic backend diverged from the zero Options on %s", name)
 			}
 			check(t, name+".txt", got)
 		})
@@ -75,10 +71,10 @@ func TestAnalyticBackendByteIdentity(t *testing.T) {
 }
 
 // TestRestoredBackendMatchesLive: for every backend, a projector
-// restored from the calibration fit on a machine at the same bus
-// noise state predicts exactly what the live-calibrated projector
-// predicted. This is the invariant the daemon's snapshot warm-start
-// depends on.
+// restored from the persisted part of a calibration (the fit and the
+// bus noise state) predicts exactly what the live-calibrated
+// projector predicted. This is the invariant the daemon's snapshot
+// warm-start depends on.
 func TestRestoredBackendMatchesLive(t *testing.T) {
 	w, err := sklang.ParseFile(filepath.Join("..", "..", "skeletons", "hotspot.sk"))
 	if err != nil {
@@ -87,13 +83,12 @@ func TestRestoredBackendMatchesLive(t *testing.T) {
 	for _, bk := range backend.Default.Names() {
 		t.Run(bk, func(t *testing.T) {
 			m := core.NewMachine(experiments.DefaultSeed)
-			p, fit, err := core.NewBackendProjector(context.Background(), m, bk, xfermodel.DefaultCalibration())
+			p, err := core.New(context.Background(), m, core.Options{Backend: bk})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The bus noise state right after calibration — what the
-			// pool snapshots — before evaluation advances it further.
-			busState := m.Bus.NoiseState()
+			// Only what the snapshot store persists.
+			cal := core.Calibration{Fit: p.Calibration().Fit, BusState: p.Calibration().BusState}
 			liveRep, err := p.Evaluate(w)
 			if err != nil {
 				t.Fatal(err)
@@ -103,9 +98,7 @@ func TestRestoredBackendMatchesLive(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			m2 := core.NewMachine(experiments.DefaultSeed)
-			m2.Bus.SetNoiseState(busState)
-			rp, err := core.NewRestoredProjector(m2, fit)
+			rp, err := core.Restore(core.NewMachine(experiments.DefaultSeed), cal)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ package golden
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +37,7 @@ func evaluate(t *testing.T, name string) core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewProjector(core.NewMachine(experiments.DefaultSeed))
+	p, err := core.New(context.Background(), core.NewMachine(experiments.DefaultSeed), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func evaluateOn(t *testing.T, name, targetName string) core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewProjector(tgt.Machine(experiments.DefaultSeed))
+	p, err := core.New(context.Background(), tgt.Machine(experiments.DefaultSeed), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestSpanTreeWellFormed(t *testing.T) {
 		t.Run(filepath.Base(file), func(t *testing.T) {
 			tracer := trace.New("grophecy")
 			ctx := trace.With(context.Background(), tracer)
-			p, err := core.NewProjector(core.NewMachine(experiments.DefaultSeed))
+			p, err := core.New(context.Background(), core.NewMachine(experiments.DefaultSeed), core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestTraceDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := core.NewProjector(core.NewMachine(experiments.DefaultSeed))
+		p, err := core.New(context.Background(), core.NewMachine(experiments.DefaultSeed), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

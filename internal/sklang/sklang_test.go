@@ -1,6 +1,7 @@
 package sklang
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -117,7 +118,7 @@ func TestParseBlurFile(t *testing.T) {
 
 func TestParsedBlurEvaluatesEndToEnd(t *testing.T) {
 	w := parseBlur(t)
-	p, err := core.NewProjector(core.NewMachine(5))
+	p, err := core.New(context.Background(), core.NewMachine(5), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
-// Dynamic-submission worker pool. Run/RunAllCtx fan a *fixed* list of
-// n inputs out and join; a dependency-aware caller (the batch DAG
-// scheduler) does not know its work-list up front — a job becomes
-// runnable only when its parents finish. Pool serves that shape: a
-// fixed set of workers consuming tasks submitted one at a time, with
-// every completion delivered on a results channel so the submitter
-// can react (dispatch newly ready work) before the pool drains.
+// Dynamic-submission worker pool. A dependency-aware caller (the
+// batch DAG scheduler) does not know its work-list up front — a job
+// becomes runnable only when its parents finish. Pool serves that
+// shape: a fixed set of workers consuming tasks submitted one at a
+// time, with every completion delivered on a results channel so the
+// submitter can react (dispatch newly ready work) before the pool
+// drains. RunCtx is the fixed-list special case: submit n, collect by
+// index.
 //
-// Failure semantics match Run: a panicking task is recovered into an
+// Failure semantics match RunCtx: a panicking task is recovered into an
 // error wrapping errdefs.ErrPanic, and tasks consumed after the pool
 // context is cancelled are not executed — they complete immediately
 // with the context's error. Every submitted task produces exactly one
@@ -71,8 +72,10 @@ func NewPool[T any](ctx context.Context, workers, capacity int) *Pool[T] {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer p.wg.Done()
-			// Same pprof labels as the fixed-fan-out workers, so both
-			// pool shapes attribute identically in CPU profiles.
+			// pprof labels make sweep workers attributable in real-CPU
+			// profiles: `go test -cpuprofile`, or — against a live
+			// daemon — the /debug/pprof/profile endpoint grophecyd
+			// serves (see docs/OBSERVABILITY.md).
 			labels := pprof.Labels("subsystem", "sweep", "sweep_worker", strconv.Itoa(w))
 			pprof.Do(ctx, labels, func(context.Context) {
 				mWorkers.Add(1)

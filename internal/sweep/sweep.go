@@ -1,5 +1,6 @@
-// Package sweep provides a small deterministic parallel-map utility
-// for parameter sweeps.
+// Package sweep provides the repository's one fan-out primitive: a
+// dynamically fed worker pool (Pool) and the deterministic parallel
+// map built on it (RunCtx).
 //
 // Experiments in this repository are single-machine-deterministic: a
 // given seed always produces the same numbers. Sweeps over *many*
@@ -22,13 +23,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
-	"strconv"
-	"sync"
 
 	"grophecy/internal/errdefs"
 	"grophecy/internal/metrics"
-	"grophecy/internal/obs"
 )
 
 // Sweep instruments: task and failure counts plus the number of live
@@ -42,37 +39,51 @@ var (
 		"sweep worker goroutines currently running")
 )
 
-// Run maps fn over n inputs using at most workers goroutines and
-// returns the n results in input order. If workers <= 0, it defaults
-// to GOMAXPROCS. All worker errors are aggregated with errors.Join
-// (each wrapped with its input index); on any error the result slice
-// is nil.
+// RunCtx maps fn over n inputs on a Pool of at most workers
+// goroutines (GOMAXPROCS if workers <= 0) and returns the n results
+// in input order. All worker errors are aggregated with errors.Join,
+// each wrapped with its input index; on any error the result slice is
+// nil. Once ctx is cancelled no further inputs start (in-flight calls
+// run to completion) and ctx's error is joined into the returned
+// error.
 //
 // fn must be safe to call concurrently for distinct indices (each
 // index should own its state — e.g. its own simulated machine).
-func Run[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return RunCtx(context.Background(), n, workers, fn)
-}
-
-// RunCtx is Run with cancellation: once ctx is cancelled, no new
-// indices are scheduled (in-flight calls run to completion), and
-// ctx's error is joined into the returned error. Results computed
-// before cancellation are discarded, matching Run's all-or-nothing
-// contract.
 func RunCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	results, errs, scheduled, err := runAll(ctx, n, workers, fn)
-	if err != nil {
-		return nil, err
+	if n < 0 {
+		return nil, errdefs.Invalidf("sweep: negative input count %d", n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	pool := NewPool[T](ctx, min(workers, n), n)
+	// ran[i] is written by the worker before it delivers input i's
+	// result, and read only after receiving that result.
+	ran := make([]bool, n)
+	for i := 0; i < n; i++ {
+		pool.Submit(i, func() (T, error) {
+			ran[i] = true
+			return fn(i)
+		})
+	}
+	pool.Close()
+	results := make([]T, n)
+	errs := make([]error, n)
+	for r := range pool.Results() {
+		results[r.Index], errs[r.Index] = r.Value, r.Err
 	}
 	joined := make([]error, 0, n+1)
-	for _, s := range scheduled {
-		if !s {
+	for i := range ran {
+		if !ran[i] {
 			joined = append(joined, ctx.Err())
 			break
 		}
 	}
 	for i, err := range errs {
-		if err != nil && scheduled[i] {
+		if err != nil && ran[i] {
 			joined = append(joined, fmt.Errorf("sweep: input %d: %w", i, err))
 		}
 	}
@@ -80,88 +91,6 @@ func RunCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 		return nil, err
 	}
 	return results, nil
-}
-
-// RunAllCtx is the partial-results variant serving batch endpoints:
-// it maps fn over n inputs like RunCtx but keeps every per-input
-// outcome instead of collapsing them. It returns one result and one
-// error per input — a failed (or panicked) input carries its error in
-// errs[i] while every other input's result remains usable. Inputs
-// never scheduled because ctx was cancelled carry ctx's error. The
-// final error reports only invalid arguments (n < 0), never
-// per-input failures.
-func RunAllCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, []error, error) {
-	results, errs, scheduled, err := runAll(ctx, n, workers, fn)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range errs {
-		if !scheduled[i] {
-			errs[i] = fmt.Errorf("sweep: input %d not scheduled: %w", i, ctx.Err())
-		}
-	}
-	return results, errs, nil
-}
-
-// runAll is the shared worker-pool core: it attempts every input
-// until ctx is cancelled and reports, per input, the result, the
-// error, and whether the input was scheduled at all.
-func runAll[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) (results []T, errs []error, scheduled []bool, err error) {
-	if n < 0 {
-		return nil, nil, nil, errdefs.Invalidf("sweep: negative input count %d", n)
-	}
-	if n == 0 {
-		return nil, nil, nil, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	results = make([]T, n)
-	errs = make([]error, n)
-	scheduled = make([]bool, n)
-	indices := make(chan int)
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			// pprof labels make sweep workers attributable in real-CPU
-			// profiles: `go test -cpuprofile`, or — against a live
-			// daemon — the /debug/pprof/profile endpoint grophecyd
-			// serves (see docs/OBSERVABILITY.md).
-			labels := pprof.Labels("subsystem", "sweep", "sweep_worker", strconv.Itoa(w))
-			pprof.Do(ctx, labels, func(context.Context) {
-				mWorkers.Add(1)
-				defer mWorkers.Add(-1)
-				lg := obs.Log(obs.WithPhase(ctx, "sweep"))
-				for i := range indices {
-					results[i], errs[i] = protect(fn, i)
-					mTasks.Inc()
-					if errs[i] != nil {
-						mFailures.Inc()
-						lg.Warn("sweep input failed", "input", i, "err", errs[i].Error())
-					}
-				}
-			})
-		}(w)
-	}
-schedule:
-	for i := 0; i < n; i++ {
-		select {
-		case indices <- i:
-			scheduled[i] = true
-		case <-ctx.Done():
-			break schedule
-		}
-	}
-	close(indices)
-	wg.Wait()
-	return results, errs, scheduled, nil
 }
 
 // protect invokes fn(i), converting a panic into an error that wraps
@@ -175,9 +104,4 @@ func protect[T any](fn func(i int) (T, error), i int) (result T, err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// Map is Run with one worker per available CPU.
-func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return Run(n, 0, fn)
 }

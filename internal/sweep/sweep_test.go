@@ -12,7 +12,7 @@ import (
 )
 
 func TestRunPreservesOrder(t *testing.T) {
-	got, err := Run(100, 7, func(i int) (int, error) { return i * i, nil })
+	got, err := RunCtx(context.Background(), 100, 7, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,21 +24,21 @@ func TestRunPreservesOrder(t *testing.T) {
 }
 
 func TestRunZeroInputs(t *testing.T) {
-	got, err := Run(0, 4, func(i int) (int, error) { return 0, nil })
+	got, err := RunCtx(context.Background(), 0, 4, func(i int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
 		t.Fatalf("got %v, %v", got, err)
 	}
 }
 
 func TestRunNegativeInputs(t *testing.T) {
-	if _, err := Run(-1, 4, func(i int) (int, error) { return 0, nil }); err == nil {
+	if _, err := RunCtx(context.Background(), -1, 4, func(i int) (int, error) { return 0, nil }); err == nil {
 		t.Fatal("negative count accepted")
 	}
 }
 
 func TestRunPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(50, 8, func(i int) (int, error) {
+	_, err := RunCtx(context.Background(), 50, 8, func(i int) (int, error) {
 		if i == 33 {
 			return 0, boom
 		}
@@ -51,7 +51,7 @@ func TestRunPropagatesError(t *testing.T) {
 
 func TestRunBoundsWorkers(t *testing.T) {
 	var active, peak int64
-	_, err := Run(64, 3, func(i int) (int, error) {
+	_, err := RunCtx(context.Background(), 64, 3, func(i int) (int, error) {
 		cur := atomic.AddInt64(&active, 1)
 		for {
 			old := atomic.LoadInt64(&peak)
@@ -76,7 +76,7 @@ func TestRunBoundsWorkers(t *testing.T) {
 }
 
 func TestRunDefaultWorkers(t *testing.T) {
-	got, err := Map(10, func(i int) (string, error) { return "x", nil })
+	got, err := RunCtx(context.Background(), 10, 0, func(i int) (string, error) { return "x", nil })
 	if err != nil || len(got) != 10 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -85,7 +85,7 @@ func TestRunDefaultWorkers(t *testing.T) {
 func TestQuickRunMatchesSequential(t *testing.T) {
 	prop := func(n uint8, workers uint8) bool {
 		fn := func(i int) (int, error) { return 3*i + 1, nil }
-		par, err := Run(int(n), int(workers%8), fn)
+		par, err := RunCtx(context.Background(), int(n), int(workers%8), fn)
 		if err != nil {
 			return false
 		}
@@ -105,7 +105,7 @@ func TestQuickRunMatchesSequential(t *testing.T) {
 func TestRunAggregatesAllErrors(t *testing.T) {
 	errA := errors.New("boom A")
 	errB := errors.New("boom B")
-	_, err := Run(50, 8, func(i int) (int, error) {
+	_, err := RunCtx(context.Background(), 50, 8, func(i int) (int, error) {
 		switch i {
 		case 7:
 			return 0, errA
@@ -120,7 +120,7 @@ func TestRunAggregatesAllErrors(t *testing.T) {
 }
 
 func TestRunRecoversPanics(t *testing.T) {
-	_, err := Run(20, 4, func(i int) (int, error) {
+	_, err := RunCtx(context.Background(), 20, 4, func(i int) (int, error) {
 		if i == 13 {
 			panic("unlucky input")
 		}
@@ -137,6 +137,9 @@ func TestRunRecoversPanics(t *testing.T) {
 	}
 }
 
+// TestRunCtxStopsScheduling: input 0 cancels the context; every
+// other input waits for that cancellation before returning, so no
+// worker can drain the remaining inputs before input 0 runs.
 func TestRunCtxStopsScheduling(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started int64
@@ -144,6 +147,8 @@ func TestRunCtxStopsScheduling(t *testing.T) {
 		atomic.AddInt64(&started, 1)
 		if i == 0 {
 			cancel()
+		} else {
+			<-ctx.Done()
 		}
 		return i, nil
 	})
@@ -166,77 +171,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-}
-
-// TestRunAllCtxKeepsPartialResults: unlike RunCtx, per-input failures
-// do not discard the other inputs' results.
-func TestRunAllCtxKeepsPartialResults(t *testing.T) {
-	boom := errors.New("boom")
-	results, errs, err := RunAllCtx(context.Background(), 10, 4, func(i int) (int, error) {
-		if i%3 == 0 {
-			return 0, boom
-		}
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if i%3 == 0 {
-			if !errors.Is(errs[i], boom) {
-				t.Errorf("errs[%d] = %v, want boom", i, errs[i])
-			}
-			continue
-		}
-		if errs[i] != nil {
-			t.Errorf("errs[%d] = %v, want nil", i, errs[i])
-		}
-		if results[i] != i*i {
-			t.Errorf("results[%d] = %d, want %d", i, results[i], i*i)
-		}
-	}
-}
-
-// TestRunAllCtxRecoversPanics: a panicking input is its own failure,
-// not the batch's.
-func TestRunAllCtxRecoversPanics(t *testing.T) {
-	results, errs, err := RunAllCtx(context.Background(), 5, 2, func(i int) (int, error) {
-		if i == 2 {
-			panic("input 2 exploded")
-		}
-		return i + 1, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(errs[2], errdefs.ErrPanic) {
-		t.Fatalf("errs[2] = %v, want errdefs.ErrPanic", errs[2])
-	}
-	if !strings.Contains(errs[2].Error(), "input 2 exploded") {
-		t.Errorf("panic value lost: %v", errs[2])
-	}
-	for _, i := range []int{0, 1, 3, 4} {
-		if errs[i] != nil || results[i] != i+1 {
-			t.Errorf("input %d: result %d err %v, want %d and nil", i, results[i], errs[i], i+1)
-		}
-	}
-}
-
-// TestRunAllCtxCancellationMarksUnscheduled: inputs never scheduled
-// because the context died carry the context's error.
-func TestRunAllCtxCancellationMarksUnscheduled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, errs, err := RunAllCtx(ctx, 8, 2, func(i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 8 || len(errs) != 8 {
-		t.Fatalf("got %d results, %d errs, want 8 each", len(results), len(errs))
-	}
-	for i, e := range errs {
-		if !errors.Is(e, context.Canceled) {
-			t.Errorf("errs[%d] = %v, want context.Canceled", i, e)
-		}
+	if n := atomic.LoadInt64(&ran); n != 0 {
+		t.Errorf("%d inputs ran on a cancelled context", n)
 	}
 }

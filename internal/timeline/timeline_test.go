@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func hotspotReport(t *testing.T, iters int) core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.NewProjector(core.NewMachine(21))
+	p, err := core.New(context.Background(), core.NewMachine(21), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

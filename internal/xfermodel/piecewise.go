@@ -103,13 +103,13 @@ func DefaultPiecewiseGrid(cfg CalibrationConfig) []int64 {
 	})
 }
 
-// CalibratePiecewise measures cfg.Runs transfers at every knot of the
-// grid (cfg.Sizes, or DefaultPiecewiseGrid) and fits one secant line
+// CalibratePiecewise measures every knot of the grid (cfg.Sizes, or
+// DefaultPiecewiseGrid) through sample and fits one secant line
 // per adjacent knot pair and direction: β is the slope between the
 // two mean times, α the intercept. With exactly two knots this
 // degenerates to a single global line fitted through both measured
 // points.
-func CalibratePiecewise(bus *pcie.Bus, cfg CalibrationConfig) (PiecewiseModel, error) {
+func CalibratePiecewise(sample Sampler, cfg CalibrationConfig) (PiecewiseModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return PiecewiseModel{}, err
 	}
@@ -123,13 +123,13 @@ func CalibratePiecewise(bus *pcie.Bus, cfg CalibrationConfig) (PiecewiseModel, e
 		dir := pcie.Direction(d)
 		times := make([]float64, len(knots))
 		for i, size := range knots {
-			mean, err := bus.MeasureMean(dir, cfg.Kind, size, cfg.Runs)
+			pt, err := sample(dir, cfg.Kind, size)
 			if err != nil {
 				return PiecewiseModel{}, fmt.Errorf("xfermodel: %v knot %d: %w", dir, size, err)
 			}
-			times[i] = mean
-			pm.Summary.CalibrationCost += float64(cfg.Runs) * mean
-			pm.Summary.CalibrationTransfers += cfg.Runs
+			times[i] = pt.Time
+			pm.Summary.CalibrationCost += pt.Cost
+			pm.Summary.CalibrationTransfers += pt.Transfers
 		}
 		pm.Dir[d] = make([]Model, len(knots)-1)
 		for i := range pm.Dir[d] {

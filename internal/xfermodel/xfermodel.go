@@ -218,16 +218,45 @@ func CalibrateTwoPoint(bus *pcie.Bus, cfg CalibrationConfig) (BusModel, error) {
 	return bm, nil
 }
 
+// Point is one measured calibration point.
+type Point struct {
+	// Time is the estimated time of one transfer, in seconds.
+	Time float64
+	// Cost is the simulated bus time the estimate took, in seconds.
+	Cost float64
+	// Transfers is how many transfers the estimate observed.
+	Transfers int
+}
+
+// Sampler measures one calibration point under some measurement
+// protocol: MeanSampler is the paper's raw mean, RobustSampler the
+// resilient meter. The grid-based schemes (least-squares, piecewise)
+// take one, so every backend honours whichever protocol its machine
+// selects.
+type Sampler func(dir pcie.Direction, kind pcie.MemoryKind, size int64) (Point, error)
+
+// MeanSampler is the paper's protocol: the arithmetic mean of runs
+// raw transfers on bus.
+func MeanSampler(bus *pcie.Bus, runs int) Sampler {
+	return func(dir pcie.Direction, kind pcie.MemoryKind, size int64) (Point, error) {
+		mean, err := bus.MeasureMean(dir, kind, size, runs)
+		if err != nil {
+			return Point{}, err
+		}
+		return Point{Time: mean, Cost: float64(runs) * mean, Transfers: runs}, nil
+	}
+}
+
 // CalibrateLeastSquares derives a BusModel by measuring every size in
-// sizes (cfg.Runs transfers each) and fitting T = alpha + beta*d by
-// ordinary least squares, per direction. It is the expensive ablation
-// against CalibrateTwoPoint.
+// sizes through sample and fitting T = alpha + beta*d by ordinary
+// least squares, per direction. It is the expensive ablation against
+// CalibrateTwoPoint.
 //
 // Note that an unweighted fit over a power-of-two sweep is dominated
 // by the largest sizes, so its alpha can come out slightly negative;
 // in that case alpha is clamped to the smallest measured time to keep
 // the model physical.
-func CalibrateLeastSquares(bus *pcie.Bus, cfg CalibrationConfig, sizes []int64) (BusModel, error) {
+func CalibrateLeastSquares(sample Sampler, cfg CalibrationConfig, sizes []int64) (BusModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return BusModel{}, err
 	}
@@ -244,17 +273,17 @@ func CalibrateLeastSquares(bus *pcie.Bus, cfg CalibrationConfig, sizes []int64) 
 			if size < 0 {
 				return BusModel{}, errdefs.Invalidf("xfermodel: negative sweep size %d", size)
 			}
-			mean, err := bus.MeasureMean(dir, cfg.Kind, size, cfg.Runs)
+			pt, err := sample(dir, cfg.Kind, size)
 			if err != nil {
 				return BusModel{}, fmt.Errorf("xfermodel: %v sweep point %d: %w", dir, size, err)
 			}
 			xs[i] = float64(size)
-			ys[i] = mean
-			if i == 0 || mean < minTime {
-				minTime = mean
+			ys[i] = pt.Time
+			if i == 0 || pt.Time < minTime {
+				minTime = pt.Time
 			}
-			bm.CalibrationCost += float64(cfg.Runs) * mean
-			bm.CalibrationTransfers += cfg.Runs
+			bm.CalibrationCost += pt.Cost
+			bm.CalibrationTransfers += pt.Transfers
 		}
 		fit, err := stats.FitLine(xs, ys)
 		if err != nil {

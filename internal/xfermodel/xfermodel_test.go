@@ -147,13 +147,13 @@ func TestCalibrateRejectsBadConfig(t *testing.T) {
 	if _, err := CalibrateTwoPoint(bus, CalibrationConfig{}); err == nil {
 		t.Error("zero config accepted")
 	}
-	if _, err := CalibrateLeastSquares(bus, CalibrationConfig{}, []int64{1, 2}); err == nil {
+	if _, err := CalibrateLeastSquares(MeanSampler(bus, 0), CalibrationConfig{}, []int64{1, 2}); err == nil {
 		t.Error("zero config accepted by least squares")
 	}
-	if _, err := CalibrateLeastSquares(bus, DefaultCalibration(), []int64{1}); err == nil {
+	if _, err := CalibrateLeastSquares(MeanSampler(bus, 10), DefaultCalibration(), []int64{1}); err == nil {
 		t.Error("single-point least squares accepted")
 	}
-	if _, err := CalibrateLeastSquares(bus, DefaultCalibration(), []int64{-1, 2}); err == nil {
+	if _, err := CalibrateLeastSquares(MeanSampler(bus, 10), DefaultCalibration(), []int64{-1, 2}); err == nil {
 		t.Error("negative sweep size accepted")
 	}
 }
@@ -233,7 +233,7 @@ func TestLeastSquaresComparableToTwoPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := CalibrateLeastSquares(busB, DefaultCalibration(), sizes)
+	ls, err := CalibrateLeastSquares(MeanSampler(busB, 10), DefaultCalibration(), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
