@@ -191,8 +191,8 @@ func (analyzeStage) Run(ctx context.Context, st *EvalState) error {
 		Plan:       plan,
 		Resilient:  p.meter != nil,
 	}
-	if p.health != nil {
-		for _, d := range p.health.Degradations {
+	if p.cal.Health != nil {
+		for _, d := range p.cal.Health.Degradations {
 			st.Report.Degradations = append(st.Report.Degradations, "calibration: "+d)
 		}
 	}

@@ -104,8 +104,8 @@ func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Progra
 	}
 
 	rep := ProgramReport{Name: prog.Name, Resilient: p.meter != nil}
-	if p.health != nil {
-		for _, d := range p.health.Degradations {
+	if p.cal.Health != nil {
+		for _, d := range p.cal.Health.Degradations {
 			rep.Degradations = append(rep.Degradations, "calibration: "+d)
 		}
 	}
@@ -152,7 +152,7 @@ func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Progra
 			}
 			tctx, tspan := trace.Start(phctx, "transfer "+tr.String(),
 				trace.Int("bytes", tr.Bytes()))
-			pred, err := p.model.Predict(dir, tr.Bytes())
+			pred, err := p.inst.Linear.Predict(dir, tr.Bytes())
 			if err != nil {
 				tspan.End()
 				phspan.End()
@@ -184,14 +184,14 @@ func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Progra
 			return ProgramReport{}, err
 		}
 		for _, tr := range naive.Uploads {
-			t, err := p.model.Predict(pcie.HostToDevice, tr.Bytes())
+			t, err := p.inst.Linear.Predict(pcie.HostToDevice, tr.Bytes())
 			if err != nil {
 				return ProgramReport{}, err
 			}
 			rep.NaiveTransferPred += t
 		}
 		for _, tr := range naive.Downloads {
-			t, err := p.model.Predict(pcie.DeviceToHost, tr.Bytes())
+			t, err := p.inst.Linear.Predict(pcie.DeviceToHost, tr.Bytes())
 			if err != nil {
 				return ProgramReport{}, err
 			}

@@ -228,6 +228,19 @@ func Lookup(name string) (Target, error) {
 	return t, nil
 }
 
+// Resolve maps the -target / -gpu flag pair that grophecy and
+// grophecyd share to a registered target: the named target, the
+// legacy GPU-preset target, or DefaultName when both are empty.
+func Resolve(name, gpuName string) (Target, error) {
+	switch {
+	case name != "" && gpuName != "":
+		return Target{}, errdefs.Invalidf("-target and -gpu are mutually exclusive")
+	case gpuName != "":
+		return ForGPU(gpuName)
+	}
+	return Lookup(name)
+}
+
 // ForGPU returns the registered target that pairs the named GPU
 // preset with the paper's CPU on the paper's PCIe v1 bus — the
 // combination the legacy -gpu flag has always selected, now with a

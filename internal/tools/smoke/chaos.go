@@ -60,7 +60,7 @@ func runChaos() error {
 	}
 
 	// Daemon A: adversarial chaos, tight admission, persistence on.
-	a, baseA, err := startChaosDaemon(root, bin,
+	a, baseA, err := startDaemon(root, bin,
 		"-chaos", chaosPlan, "-cal-retries", "8",
 		"-snapshot-dir", snapDir,
 		"-max-inflight", "1", "-max-queue", "0", "-queue-wait", "300ms")
@@ -122,7 +122,7 @@ func runChaos() error {
 	// Daemon B: clean config, same snapshot directory. It must
 	// warm-start — ready without a single new calibration — and serve
 	// the reference bytes.
-	b, baseB, err := startChaosDaemon(root, bin, "-snapshot-dir", snapDir)
+	b, baseB, err := startDaemon(root, bin, "-snapshot-dir", snapDir)
 	if err != nil {
 		return err
 	}
@@ -183,7 +183,7 @@ func runChaos() error {
 	if err := os.WriteFile(victim, []byte("flipped bits, not a snapshot"), 0o644); err != nil {
 		return err
 	}
-	c, baseC, err := startChaosDaemon(root, bin, "-snapshot-dir", snapDir)
+	c, baseC, err := startDaemon(root, bin, "-snapshot-dir", snapDir)
 	if err != nil {
 		return err
 	}
@@ -209,28 +209,6 @@ func runChaos() error {
 	}
 	fmt.Println("smoke-chaos: corrupt snapshot quarantined, daemon still ready")
 	return nil
-}
-
-// startChaosDaemon launches the built binary on an ephemeral port
-// with the given extra flags and returns the process and base URL.
-func startChaosDaemon(root, bin string, extra ...string) (*exec.Cmd, string, error) {
-	args := append([]string{"-addr", "127.0.0.1:0", "-log-format", "json"}, extra...)
-	daemon := exec.Command(bin, args...)
-	daemon.Dir = root
-	daemon.Stderr = os.Stderr
-	stdout, err := daemon.StdoutPipe()
-	if err != nil {
-		return nil, "", err
-	}
-	if err := daemon.Start(); err != nil {
-		return nil, "", err
-	}
-	base, err := listenURL(stdout)
-	if err != nil {
-		daemon.Process.Kill()
-		return nil, "", err
-	}
-	return daemon, base, nil
 }
 
 // checkSheddingChaos is the chaos-tolerant version of checkShedding:
