@@ -312,9 +312,11 @@ func Union(a, b Section) Section {
 	if b.Empty() {
 		return a
 	}
-	// The general case is memoized by operand content (cache.go): the
-	// hull depends only on the bounds, never on the array object.
-	return Section{Array: a.Array, Bounds: unionBounds(a.Bounds, b.Bounds)}
+	bounds := make([]Bound, len(a.Bounds))
+	for i := range bounds {
+		bounds[i] = a.Bounds[i].union(b.Bounds[i])
+	}
+	return Section{Array: a.Array, Bounds: bounds}
 }
 
 // Intersect returns the conservative intersection of two sections and
@@ -334,11 +336,13 @@ func Intersect(a, b Section) (Section, bool) {
 	if b.Whole {
 		return a, true
 	}
-	// The general case is memoized by operand content (cache.go);
-	// proven-empty intersections are cached too.
-	bounds, ok := intersectBounds(a.Bounds, b.Bounds)
-	if !ok {
-		return Section{}, false
+	bounds := make([]Bound, len(a.Bounds))
+	for i := range bounds {
+		ib, ok := a.Bounds[i].intersect(b.Bounds[i])
+		if !ok {
+			return Section{}, false
+		}
+		bounds[i] = ib
 	}
 	return Section{Array: a.Array, Bounds: bounds}, true
 }

@@ -9,11 +9,10 @@ import (
 )
 
 // TestConcurrentEvaluationsAreIdentical hammers the shared engine and
-// the package-global transform/brs caches from many goroutines at
-// once. Each goroutine owns its projector (the simulated machine is
-// stateful) but all share DefaultEngine, the enumeration memo table,
-// and the section-algebra op cache — the structures the parallel
-// candidate evaluation and the daemon's concurrent /project requests
+// the package-global transform cache from many goroutines at once.
+// Each goroutine owns its projector (the simulated machine is
+// stateful) but all share DefaultEngine and the enumeration memo
+// table — the structures the daemon's concurrent /project requests
 // contend on. Under -race this is the data-race gate; under plain
 // `go test` it still pins determinism: every report at the same seed
 // must marshal byte-identically, interleaving or not.

@@ -4,37 +4,29 @@ import (
 	"bytes"
 	"testing"
 
-	"grophecy/internal/brs"
 	"grophecy/internal/report"
 	"grophecy/internal/transform"
 )
 
 // TestReportsIdenticalWithCachesOnAndOff is the memoization soundness
 // gate at the whole-pipeline level: every golden workload must render
-// a byte-identical report with the transform and brs caches disabled
-// (pure cold computation), freshly enabled (miss path), and warm (hit
-// path). Any divergence means a cache is returning something other
+// a byte-identical report with the transform cache disabled (pure
+// cold computation), freshly enabled (miss path), and warm (hit
+// path). Any divergence means the cache is returning something other
 // than what the cold path computes — a correctness bug, not a
 // performance bug.
 func TestReportsIdenticalWithCachesOnAndOff(t *testing.T) {
-	prevT := transform.SetCacheEnabled(true)
-	prevB := brs.SetCacheEnabled(true)
-	defer func() {
-		transform.SetCacheEnabled(prevT)
-		brs.SetCacheEnabled(prevB)
-	}()
+	prev := transform.SetCacheEnabled(true)
+	defer transform.SetCacheEnabled(prev)
 
 	for _, name := range skeletons {
 		t.Run(name, func(t *testing.T) {
 			transform.SetCacheEnabled(false)
-			brs.SetCacheEnabled(false)
 			cold := []byte(report.Text(evaluate(t, name)))
 
-			// Re-enable: SetCacheEnabled(false) cleared both caches,
-			// so the first warm run is all misses, the second all
-			// hits.
+			// Re-enable: SetCacheEnabled(false) cleared the cache, so
+			// the first warm run is all misses, the second all hits.
 			transform.SetCacheEnabled(true)
-			brs.SetCacheEnabled(true)
 			miss := []byte(report.Text(evaluate(t, name)))
 			hit := []byte(report.Text(evaluate(t, name)))
 
@@ -47,7 +39,7 @@ func TestReportsIdenticalWithCachesOnAndOff(t *testing.T) {
 					name, cold, hit)
 			}
 			// And both must match the committed golden file: the
-			// caches change nothing about the pinned output.
+			// cache changes nothing about the pinned output.
 			check(t, name+".txt", hit)
 		})
 	}

@@ -276,13 +276,7 @@ func ProjectBest(arch gpu.Arch, candidates []Characteristics) (Projection, int, 
 		}
 	}
 	if bestIdx < 0 {
-		return Projection{}, -1, errNoCandidate(arch)
+		return Projection{}, -1, fmt.Errorf("perfmodel: no candidate can launch on %s", arch.Name)
 	}
 	return best, bestIdx, nil
-}
-
-// errNoCandidate is the shared no-launchable-candidate error, so the
-// sequential and parallel selectors fail identically.
-func errNoCandidate(arch gpu.Arch) error {
-	return fmt.Errorf("perfmodel: no candidate can launch on %s", arch.Name)
 }

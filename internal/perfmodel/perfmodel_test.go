@@ -275,6 +275,17 @@ func TestProjectBestPicksFastest(t *testing.T) {
 	if p.Time <= 0 {
 		t.Errorf("best time = %v", p.Time)
 	}
+
+	// Ties go to the earlier index: the fastest characteristics twice.
+	twin := good
+	twin.Name = "twin"
+	tp, idx, err := ProjectBest(arch, []Characteristics{bad, unlaunchable, good, twin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx != 2 || tp.Time != p.Time {
+		t.Errorf("tied best idx = %d (time %v), want 2 (time %v)", idx, tp.Time, p.Time)
+	}
 }
 
 func TestProjectBestAllUnlaunchable(t *testing.T) {

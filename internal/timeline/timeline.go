@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"grophecy/internal/core"
 	"grophecy/internal/trace"
@@ -62,23 +61,8 @@ type Event struct {
 // uploads in plan order, then Iterations rounds of the kernel list,
 // then downloads. Kernel durations use the per-invocation measured
 // means; transfers use their measured means.
-//
-// The slice is allocated at its exact final size. Callers on a hot
-// rendering path can avoid even that allocation with AppendFromReport
-// and the package's event-slice pool (AcquireEvents/ReleaseEvents).
 func FromReport(r core.Report) []Event {
-	return AppendFromReport(make([]Event, 0, eventCount(r)), r)
-}
-
-// eventCount is the exact number of timeline events a report implies.
-func eventCount(r core.Report) int {
-	return len(r.Transfers) + r.Iterations*len(r.Kernels)
-}
-
-// AppendFromReport appends the report's timeline events to dst and
-// returns the extended slice, allocating only if dst lacks capacity.
-func AppendFromReport(dst []Event, r core.Report) []Event {
-	events := dst
+	events := make([]Event, 0, len(r.Transfers)+r.Iterations*len(r.Kernels))
 	t := 0.0
 	add := func(kind EventKind, label string, d float64) {
 		events = append(events, Event{Kind: kind, Label: label,
@@ -107,44 +91,9 @@ func AppendFromReport(dst []Event, r core.Report) []Event {
 	return events
 }
 
-// eventSlicePool recycles event slices across renderings; see
-// AcquireEvents.
-var eventSlicePool = sync.Pool{New: func() any {
-	s := make([]Event, 0, 64)
-	return &s
-}}
-
-// AcquireEvents returns an empty event slice from the package pool
-// with capacity for at least n events. Pass it to AppendFromReport,
-// and hand it back with ReleaseEvents when done — after which the
-// caller must not touch the slice again.
-func AcquireEvents(n int) *[]Event {
-	sp := eventSlicePool.Get().(*[]Event)
-	if cap(*sp) < n {
-		*sp = make([]Event, 0, n)
-	}
-	*sp = (*sp)[:0]
-	return sp
-}
-
-// ReleaseEvents returns a slice obtained from AcquireEvents to the
-// pool.
-func ReleaseEvents(sp *[]Event) {
-	if sp == nil {
-		return
-	}
-	*sp = (*sp)[:0]
-	eventSlicePool.Put(sp)
-}
-
-// Chart renders a report's timeline directly, routing the event slice
-// through the package pool so repeated renderings (the daemon's
-// steady state) allocate no per-call event storage.
+// Chart renders a report's timeline: Render(FromReport(r), width).
 func Chart(r core.Report, width int) (string, error) {
-	sp := AcquireEvents(eventCount(r))
-	defer ReleaseEvents(sp)
-	*sp = AppendFromReport(*sp, r)
-	return Render(*sp, width)
+	return Render(FromReport(r), width)
 }
 
 // markers maps event kinds to bar characters.

@@ -147,8 +147,7 @@ func Stats() CacheStats {
 
 // SetCacheEnabled switches the memoization on or off (it is on by
 // default) and reports the previous setting. Disabling also clears
-// the cache. Intended for tests proving memoized == cold and for
-// memory-constrained embedders.
+// the cache. Intended for tests proving memoized == cold.
 func SetCacheEnabled(on bool) bool {
 	enumCache.mu.Lock()
 	defer enumCache.mu.Unlock()

@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"grophecy/internal/gpu"
@@ -496,11 +495,7 @@ func Best(k *skeleton.Kernel, arch gpu.Arch) (Variant, perfmodel.Projection, err
 //
 // The winning variant's projection is memoized alongside the
 // enumeration (cache.go), so a warm call skips both the exploration
-// and the per-candidate analytical projection. Cold calls with large
-// candidate sets evaluate candidates on a bounded worker pool with a
-// deterministic index-order reduction (perfmodel.ProjectBestParallel),
-// so the winner — and therefore the report — is bit-identical to the
-// sequential path.
+// and the per-candidate analytical projection.
 func BestCtx(ctx context.Context, k *skeleton.Kernel, arch gpu.Arch) (Variant, perfmodel.Projection, error) {
 	_, span := trace.Start(ctx, "transform.best", trace.String("kernel", k.Name))
 	defer span.End()
@@ -523,7 +518,7 @@ func BestCtx(ctx context.Context, k *skeleton.Kernel, arch gpu.Arch) (Variant, p
 	for i, v := range e.variants {
 		chars[i] = v.Ch
 	}
-	proj, idx, err := perfmodel.ProjectBestParallel(arch, chars, bestWorkers(len(chars)))
+	proj, idx, err := perfmodel.ProjectBest(arch, chars)
 	if err != nil {
 		return Variant{}, perfmodel.Projection{}, fmt.Errorf("transform: kernel %q: %w", k.Name, err)
 	}
@@ -532,21 +527,4 @@ func BestCtx(ctx context.Context, k *skeleton.Kernel, arch gpu.Arch) (Variant, p
 	e.mu.Unlock()
 	span.SetAttr(trace.String("variant", e.variants[idx].Name))
 	return e.variants[idx], proj, nil
-}
-
-// parallelThreshold is the candidate count below which the projection
-// stays sequential: spawning workers costs more than projecting a
-// handful of candidates.
-const parallelThreshold = 16
-
-// bestWorkers sizes the candidate-evaluation worker pool.
-func bestWorkers(candidates int) int {
-	if candidates < parallelThreshold {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
 }
