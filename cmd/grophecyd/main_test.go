@@ -52,7 +52,7 @@ func (w *syncWriter) String() string {
 
 // startDaemon wires a server at the default seed, runs the startup
 // calibration, and serves it over httptest.
-func startDaemon(t *testing.T, cfg daemonConfig) (*httptest.Server, *server, *syncWriter) {
+func startDaemon(t testing.TB, cfg daemonConfig) (*httptest.Server, *server, *syncWriter) {
 	t.Helper()
 	logs := &syncWriter{}
 	if cfg.Logger == nil {

@@ -348,3 +348,73 @@ func TestSimulateBandwidthLimitedFlag(t *testing.T) {
 		t.Error("16M-thread streaming kernel not flagged bandwidth-limited")
 	}
 }
+
+// TestMeasureMeanMatchesRuns pins the measurement protocol: the mean
+// of runs launches is exactly (Σ Run)/runs on an identically seeded
+// simulator, and it leaves the noise stream where those runs would.
+// An unlaunchable kernel fails before it draws noise or counts a
+// launch.
+func TestMeasureMeanMatchesRuns(t *testing.T) {
+	const runs = 10
+	irregular := streaming(1 << 20)
+	irregular.Name = "irregular"
+	irregular.IrregularFraction = 0.7
+	// One block past a full residency forces a tail wave.
+	s := newSim()
+	ch := streaming(1)
+	occ := s.Arch().Occupancy(ch.BlockSize, ch.RegsPerThread, ch.SharedMemPerBlock)
+	tail := streaming(int64(s.Arch().SMs*occ.BlocksPerSM+1) * int64(ch.BlockSize))
+	tail.Name = "tail-wave"
+	if d, err := s.Simulate(tail); err != nil || d.FullWaves == 0 || d.TailBlocks == 0 {
+		t.Fatalf("tail-wave kernel has no full and tail wave: %+v, %v", d, err)
+	}
+
+	for _, ch := range []perfmodel.Characteristics{streaming(1 << 20), irregular, tail} {
+		t.Run(ch.Name, func(t *testing.T) {
+			a, b := newSim(), newSim()
+			launches := mLaunches.Value()
+			got, err := a.MeasureMean(ch, runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := mLaunches.Value() - launches; n != runs {
+				t.Errorf("MeasureMean counted %d launches, want %d", n, runs)
+			}
+			var sum float64
+			for i := 0; i < runs; i++ {
+				v, err := b.Run(ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += v
+			}
+			if want := sum / runs; got != want {
+				t.Errorf("MeasureMean = %v, want (Σ Run)/%d = %v", got, runs, want)
+			}
+			ra, errA := a.Run(ch)
+			rb, errB := b.Run(ch)
+			if errA != nil || errB != nil || ra != rb {
+				t.Errorf("next Run after the measurement: %v (%v) vs %v (%v)", ra, errA, rb, errB)
+			}
+		})
+	}
+
+	t.Run("unlaunchable", func(t *testing.T) {
+		a, b := newSim(), newSim()
+		bad := streaming(1 << 16)
+		bad.BlockSize = 4096
+		launches := mLaunches.Value()
+		if _, err := a.MeasureMean(bad, runs); err == nil {
+			t.Fatal("MeasureMean accepted an unlaunchable kernel")
+		}
+		if n := mLaunches.Value() - launches; n != 0 {
+			t.Errorf("failed measurement counted %d launches", n)
+		}
+		ch := streaming(1 << 16)
+		ra, _ := a.Run(ch)
+		rb, _ := b.Run(ch)
+		if ra != rb {
+			t.Errorf("failed measurement moved the noise stream: %v vs %v", ra, rb)
+		}
+	})
+}
