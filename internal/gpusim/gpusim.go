@@ -97,26 +97,35 @@ func (s *Sim) Run(ch perfmodel.Characteristics) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return s.launch(base), nil
+}
+
+// launch observes one launch of a kernel whose noiseless time is
+// base: one noise draw, counted in the launch metrics.
+func (s *Sim) launch(base float64) float64 {
 	t := base * s.noise.LogNormalFactor(s.cfg.NoiseSigma)
 	mLaunches.Inc()
 	mLaunchSeconds.Observe(t)
-	return t, nil
+	return t
 }
 
-// MeasureMean simulates runs launches and returns the mean time,
-// mirroring the paper's measurement protocol (arithmetic mean of ten
-// runs, §IV-A).
+// MeasureMean returns the mean time of runs launches, mirroring the
+// paper's measurement protocol (arithmetic mean of ten runs, §IV-A).
+// The simulation is deterministic, so the kernel is simulated once
+// and each launch draws only its own noise: the result, the noise
+// stream and the launch metrics are exactly those of runs calls to
+// Run.
 func (s *Sim) MeasureMean(ch perfmodel.Characteristics, runs int) (float64, error) {
 	if runs <= 0 {
 		return 0, fmt.Errorf("gpusim: MeasureMean needs at least one run")
 	}
+	base, err := s.BaseTime(ch)
+	if err != nil {
+		return 0, err
+	}
 	var sum float64
 	for i := 0; i < runs; i++ {
-		t, err := s.Run(ch)
-		if err != nil {
-			return 0, err
-		}
-		sum += t
+		sum += s.launch(base)
 	}
 	return sum / float64(runs), nil
 }
@@ -252,11 +261,11 @@ func (s *Sim) simulateWave(nWarps int, ch perfmodel.Characteristics, tpr float64
 			if w.seg > memReqs {
 				continue
 			}
-			start := math.Max(w.readyAt, issueFree)
+			start := max(w.readyAt, issueFree)
 			issueFree = start + issueBurst
 			if w.seg < memReqs {
 				// Compute burst then a memory request.
-				reqAt := math.Max(issueFree, memFree)
+				reqAt := max(issueFree, memFree)
 				memFree = reqAt + memService
 				w.readyAt = reqAt + memLatency
 			} else {
