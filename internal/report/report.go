@@ -85,9 +85,7 @@ type jsonReport struct {
 	} `json:"derived"`
 }
 
-// JSON renders the report as indented JSON, including the derived
-// speedup and error figures.
-func JSON(r core.Report) ([]byte, error) {
+func newJSONReport(r core.Report) jsonReport {
 	out := jsonReport{Report: r}
 	out.Derived.MeasuredSpeedup = r.MeasuredSpeedup()
 	out.Derived.SpeedupFull = r.SpeedupFull()
@@ -96,7 +94,19 @@ func JSON(r core.Report) ([]byte, error) {
 	out.Derived.ErrFull = r.ErrFull()
 	out.Derived.ErrKernelOnly = r.ErrKernelOnly()
 	out.Derived.PercentTransfer = r.PercentTransfer()
-	return json.MarshalIndent(out, "", "  ")
+	return out
+}
+
+// JSON renders the report as indented JSON, including the derived
+// speedup and error figures.
+func JSON(r core.Report) ([]byte, error) {
+	return json.MarshalIndent(newJSONReport(r), "", "  ")
+}
+
+// CompactJSON renders the same JSON value as JSON on one line: its
+// bytes equal json.Compact of JSON's.
+func CompactJSON(r core.Report) ([]byte, error) {
+	return json.Marshal(newJSONReport(r))
 }
 
 func indent(s string) string {
