@@ -461,16 +461,23 @@ func (p *Projector) projectKernel(ctx context.Context, k *skeleton.Kernel) (tran
 	return p.inst.Kernel.ProjectKernel(ctx, k, p.m.GPUArch)
 }
 
-// predictTransfer prices one transfer through the configured
+// predictTransfer prices one planned transfer through the configured
 // backend's transfer predictor.
-func (p *Projector) predictTransfer(dir pcie.Direction, size int64) (float64, error) {
-	return p.inst.Transfer.PredictTransfer(dir, p.kind, size)
+func (p *Projector) predictTransfer(tr datausage.Transfer) (float64, error) {
+	return p.inst.Transfer.PredictTransfer(busDir(tr), p.kind, tr.Bytes())
+}
+
+// busDir is the bus direction a planned transfer moves data in.
+func busDir(tr datausage.Transfer) pcie.Direction {
+	if tr.Dir == datausage.Download {
+		return pcie.DeviceToHost
+	}
+	return pcie.HostToDevice
 }
 
 // measureKernel measures one kernel's per-invocation time. The raw
 // pipeline uses the paper's 10-run mean; the resilient pipeline uses
-// the robust protocol and, when the measurement is unrecoverable,
-// degrades to the analytical prediction with a recorded warning.
+// the robust protocol and degrades to the analytical prediction.
 func (p *Projector) measureKernel(ctx context.Context, name string, ch perfmodel.Characteristics, predicted float64, notes *[]string) (float64, error) {
 	ctx, span := trace.Start(ctx, "measure.kernel", trace.Int("runs", MeasureRuns))
 	defer span.End()
@@ -479,56 +486,30 @@ func (p *Projector) measureKernel(ctx context.Context, name string, ch perfmodel
 	}
 	res, err := p.meter.Sample(ctx, func() (float64, error) { return p.m.Faults.GPU.Run(ch) })
 	if err != nil {
-		if res.Samples > 0 && degradable(ctx, err) {
-			*notes = append(*notes, fmt.Sprintf(
-				"kernel %s: measurement cut short (%d samples kept): %v", name, res.Samples, err))
-			obs.Log(ctx).Warn("kernel measurement cut short, keeping partial estimate",
-				"kernel", name, "samples", res.Samples, "retries", res.Retries, "err", err.Error())
-			return res.Value, nil
-		}
-		if degradable(ctx, err) {
-			*notes = append(*notes, fmt.Sprintf(
-				"kernel %s: measurement unrecoverable, using analytical prediction: %v", name, err))
-			obs.Log(ctx).Warn("kernel measurement unrecoverable, using analytical prediction",
-				"kernel", name, "retries", res.Retries, "err", err.Error())
-			return predicted, nil
-		}
-		return 0, err
+		return degrade(ctx, "kernel", name, res, err, "analytical prediction",
+			func() (float64, error) { return predicted, nil }, notes)
 	}
 	return res.Value, nil
 }
 
-// measureTransfer measures one transfer. Degradation ladder: partial
-// robust estimate, then the calibrated model's prediction.
-func (p *Projector) measureTransfer(ctx context.Context, label string, dir pcie.Direction, size int64, predicted float64, notes *[]string) (float64, error) {
+// measureTransfer measures one transfer, degrading to the calibrated
+// model's prediction.
+func (p *Projector) measureTransfer(ctx context.Context, tr datausage.Transfer, predicted float64, notes *[]string) (float64, error) {
 	ctx, span := trace.Start(ctx, "measure.transfer", trace.Int("runs", MeasureRuns))
 	defer span.End()
 	if p.meter == nil {
-		return p.m.Bus.MeasureMean(dir, p.kind, size, MeasureRuns)
+		return p.m.Bus.MeasureMean(busDir(tr), p.kind, tr.Bytes(), MeasureRuns)
 	}
-	res, err := p.meter.MeasureTransfer(ctx, p.m.Faults.Bus, dir, p.kind, size)
+	res, err := p.meter.MeasureTransfer(ctx, p.m.Faults.Bus, busDir(tr), p.kind, tr.Bytes())
 	if err != nil {
-		if res.Samples > 0 && degradable(ctx, err) {
-			*notes = append(*notes, fmt.Sprintf(
-				"transfer %s: measurement cut short (%d samples kept): %v", label, res.Samples, err))
-			obs.Log(ctx).Warn("transfer measurement cut short, keeping partial estimate",
-				"transfer", label, "samples", res.Samples, "retries", res.Retries, "err", err.Error())
-			return res.Value, nil
-		}
-		if degradable(ctx, err) {
-			*notes = append(*notes, fmt.Sprintf(
-				"transfer %s: measurement unrecoverable, using model prediction: %v", label, err))
-			obs.Log(ctx).Warn("transfer measurement unrecoverable, using model prediction",
-				"transfer", label, "retries", res.Retries, "err", err.Error())
-			return predicted, nil
-		}
-		return 0, err
+		return degrade(ctx, "transfer", tr, res, err, "model prediction",
+			func() (float64, error) { return predicted, nil }, notes)
 	}
 	return res.Value, nil
 }
 
 // measureCPU measures the per-iteration CPU baseline, degrading to
-// the noiseless model time when the measurement is unrecoverable.
+// the noiseless model time.
 func (p *Projector) measureCPU(ctx context.Context, w cpumodel.Workload, notes *[]string) (float64, error) {
 	ctx, span := trace.Start(ctx, "measure.cpu", trace.Int("runs", MeasureRuns))
 	defer span.End()
@@ -537,27 +518,46 @@ func (p *Projector) measureCPU(ctx context.Context, w cpumodel.Workload, notes *
 	}
 	res, err := p.meter.Sample(ctx, func() (float64, error) { return p.m.Faults.CPU.Run(w) })
 	if err != nil {
-		if res.Samples > 0 && degradable(ctx, err) {
-			*notes = append(*notes, fmt.Sprintf(
-				"CPU baseline: measurement cut short (%d samples kept): %v", res.Samples, err))
-			obs.Log(ctx).Warn("CPU baseline measurement cut short, keeping partial estimate",
-				"samples", res.Samples, "retries", res.Retries, "err", err.Error())
-			return res.Value, nil
-		}
-		if degradable(ctx, err) {
-			base, berr := p.m.CPU.BaseTime(w)
-			if berr != nil {
-				return 0, berr
-			}
-			*notes = append(*notes, fmt.Sprintf(
-				"CPU baseline: measurement unrecoverable, using noiseless model time: %v", err))
-			obs.Log(ctx).Warn("CPU baseline measurement unrecoverable, using noiseless model time",
-				"retries", res.Retries, "err", err.Error())
-			return base, nil
-		}
-		return 0, err
+		return degrade(ctx, "CPU baseline", nil, res, err, "noiseless model time",
+			func() (float64, error) { return p.m.CPU.BaseTime(w) }, notes)
 	}
 	return res.Value, nil
+}
+
+// degrade is the degradation ladder every resilient measurement walks
+// when its robust protocol fails with err: keep the partial estimate
+// when res has samples, else use fallback (described as using), else
+// propagate err when it is not degradable. kind names what was
+// measured ("kernel", "transfer", "CPU baseline"); name, when non-nil,
+// identifies which one (a kernel name, a datausage.Transfer) and is
+// formatted only here, once a note is written. Each rung appends one
+// note and logs one warning.
+func degrade(ctx context.Context, kind string, name any, res measure.Result, err error, using string, fallback func() (float64, error), notes *[]string) (float64, error) {
+	if !degradable(ctx, err) {
+		return 0, err
+	}
+	subject, attrs := kind, []any{}
+	if name != nil {
+		label := fmt.Sprint(name)
+		subject += " " + label
+		attrs = append(attrs, kind, label)
+	}
+	if res.Samples > 0 {
+		*notes = append(*notes, fmt.Sprintf(
+			"%s: measurement cut short (%d samples kept): %v", subject, res.Samples, err))
+		obs.Log(ctx).Warn(kind+" measurement cut short, keeping partial estimate",
+			append(attrs, "samples", res.Samples, "retries", res.Retries, "err", err.Error())...)
+		return res.Value, nil
+	}
+	v, ferr := fallback()
+	if ferr != nil {
+		return 0, ferr
+	}
+	*notes = append(*notes, fmt.Sprintf(
+		"%s: measurement unrecoverable, using %s: %v", subject, using, err))
+	obs.Log(ctx).Warn(kind+" measurement unrecoverable, using "+using,
+		append(attrs, "retries", res.Retries, "err", err.Error())...)
+	return v, nil
 }
 
 // EvaluateIterations evaluates the workload at several iteration

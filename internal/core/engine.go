@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"log/slog"
 
+	"grophecy/internal/cpumodel"
 	"grophecy/internal/datausage"
 	"grophecy/internal/errdefs"
 	"grophecy/internal/obs"
-	"grophecy/internal/pcie"
+	"grophecy/internal/skeleton"
 	"grophecy/internal/trace"
 )
 
@@ -185,18 +186,27 @@ func (analyzeStage) Run(ctx context.Context, st *EvalState) error {
 
 	st.Plan = plan
 	st.Report = Report{
-		Name:       w.Name,
-		DataSize:   w.DataSize,
-		Iterations: w.Seq.Iterations,
-		Plan:       plan,
-		Resilient:  p.meter != nil,
-	}
-	if p.cal.Health != nil {
-		for _, d := range p.cal.Health.Degradations {
-			st.Report.Degradations = append(st.Report.Degradations, "calibration: "+d)
-		}
+		Name:         w.Name,
+		DataSize:     w.DataSize,
+		Iterations:   w.Seq.Iterations,
+		Plan:         plan,
+		Resilient:    p.meter != nil,
+		Degradations: p.calibrationNotes(),
 	}
 	return nil
+}
+
+// calibrationNotes opens a report's degradation notes with the
+// calibration ladder's rungs, or returns nil for a clean calibration.
+func (p *Projector) calibrationNotes() []string {
+	if p.cal.Health == nil {
+		return nil
+	}
+	var notes []string
+	for _, d := range p.cal.Health.Degradations {
+		notes = append(notes, "calibration: "+d)
+	}
+	return notes
 }
 
 // kernelStage projects the best variant of each kernel and "measures"
@@ -206,25 +216,34 @@ type kernelStage struct{}
 func (kernelStage) Name() string { return "kernels" }
 
 func (kernelStage) Run(ctx context.Context, st *EvalState) error {
-	p, w := st.Projector, st.Workload
-	st.Report.Kernels = make([]KernelResult, 0, len(w.Seq.Kernels))
-	for _, k := range w.Seq.Kernels {
+	ks, err := st.Projector.kernelResults(ctx, st.Workload.Seq, &st.Report.Degradations)
+	st.Report.Kernels = ks
+	return err
+}
+
+// kernelResults projects and measures each kernel of seq, in order,
+// under one "kernel <name>" span each that advances the simulated
+// clock by the kernel's predicted time over all iterations. Program
+// phases run it too.
+func (p *Projector) kernelResults(ctx context.Context, seq *skeleton.Sequence, notes *[]string) ([]KernelResult, error) {
+	out := make([]KernelResult, 0, len(seq.Kernels))
+	for _, k := range seq.Kernels {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		kctx := obs.WithPhase(ctx, "kernel")
 		kctx, kspan := trace.Start(kctx, "kernel "+k.Name)
 		variant, proj, err := p.projectKernel(kctx, k)
 		if err != nil {
 			kspan.End()
-			return err
+			return nil, err
 		}
-		measured, err := p.measureKernel(kctx, k.Name, variant.Ch, proj.Time, &st.Report.Degradations)
+		measured, err := p.measureKernel(kctx, k.Name, variant.Ch, proj.Time, notes)
 		if err != nil {
 			kspan.End()
-			return fmt.Errorf("core: measuring kernel %q: %w", k.Name, err)
+			return nil, fmt.Errorf("core: measuring kernel %q: %w", k.Name, err)
 		}
-		st.Report.Kernels = append(st.Report.Kernels, KernelResult{
+		out = append(out, KernelResult{
 			Kernel:    k.Name,
 			Variant:   variant,
 			Predicted: proj.Time,
@@ -233,46 +252,50 @@ func (kernelStage) Run(ctx context.Context, st *EvalState) error {
 		kspan.SetAttr(trace.String("variant", variant.Name))
 		kspan.SetAttr(trace.Float("pred_per_invocation_s", proj.Time))
 		kspan.SetAttr(trace.Float("meas_per_invocation_s", measured))
-		kspan.Advance(proj.Time * float64(w.Seq.Iterations))
+		kspan.Advance(proj.Time * float64(seq.Iterations))
 		kspan.End()
 	}
-	return nil
+	return out, nil
 }
 
-// transferStage prices each planned transfer with the calibrated
-// linear model and measures it on the simulated bus (pinned memory,
-// one transfer per array per direction).
+// transferStage prices each planned transfer with the backend's
+// transfer model and measures it on the simulated bus (one transfer
+// per array per direction).
 type transferStage struct{}
 
 func (transferStage) Name() string { return "transfers" }
 
 func (transferStage) Run(ctx context.Context, st *EvalState) error {
-	p := st.Projector
-	st.Report.Transfers = make([]TransferResult, 0, len(st.Plan.Uploads)+len(st.Plan.Downloads))
-	for _, group := range [2][]datausage.Transfer{st.Plan.Uploads, st.Plan.Downloads} {
+	trs, err := st.Projector.transferResults(ctx, st.Plan.Uploads, st.Plan.Downloads, &st.Report.Degradations)
+	st.Report.Transfers = trs
+	return err
+}
+
+// transferResults prices and measures the uploads, then the
+// downloads, under one "transfer <desc>" span each that advances the
+// simulated clock by the predicted time. Program phases run it too.
+func (p *Projector) transferResults(ctx context.Context, uploads, downloads []datausage.Transfer, notes *[]string) ([]TransferResult, error) {
+	out := make([]TransferResult, 0, len(uploads)+len(downloads))
+	for _, group := range [2][]datausage.Transfer{uploads, downloads} {
 		for _, tr := range group {
 			if err := ctx.Err(); err != nil {
-				return err
-			}
-			dir := pcie.HostToDevice
-			if tr.Dir == datausage.Download {
-				dir = pcie.DeviceToHost
+				return nil, err
 			}
 			tctx := obs.WithPhase(ctx, "transfer")
 			tctx, tspan := trace.Start(tctx, "transfer "+tr.String(),
 				trace.Int("bytes", tr.Bytes()),
 				trace.String("dir", tr.Dir.String()))
-			pred, err := p.predictTransfer(dir, tr.Bytes())
+			pred, err := p.predictTransfer(tr)
 			if err != nil {
 				tspan.End()
-				return err
+				return nil, err
 			}
-			meas, err := p.measureTransfer(tctx, tr.String(), dir, tr.Bytes(), pred, &st.Report.Degradations)
+			meas, err := p.measureTransfer(tctx, tr, pred, notes)
 			if err != nil {
 				tspan.End()
-				return err
+				return nil, err
 			}
-			st.Report.Transfers = append(st.Report.Transfers, TransferResult{
+			out = append(out, TransferResult{
 				Transfer:  tr,
 				Predicted: pred,
 				Measured:  meas,
@@ -283,33 +306,39 @@ func (transferStage) Run(ctx context.Context, st *EvalState) error {
 			tspan.End()
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // cpuStage measures the CPU baseline: the same offloaded portion, one
-// iteration. Off the projected GPU timeline, so its span consumes no
-// simulated time.
+// iteration.
 type cpuStage struct{}
 
 func (cpuStage) Name() string { return "cpu" }
 
 func (cpuStage) Run(ctx context.Context, st *EvalState) error {
+	var err error
+	st.cpuPerIter, err = st.Projector.cpuBaseline(ctx, st.Workload.CPU, &st.Report.Degradations)
+	return err
+}
+
+// cpuBaseline measures one run of w on the CPU under a "cpu.baseline"
+// span. Off the projected GPU timeline, so the span consumes no
+// simulated time. Programs measure their whole-program baseline with
+// it.
+func (p *Projector) cpuBaseline(ctx context.Context, w cpumodel.Workload, notes *[]string) (float64, error) {
 	cctx := obs.WithPhase(ctx, "cpu")
 	cctx, cspan := trace.Start(cctx, "cpu.baseline")
-	cpuPerIter, err := st.Projector.measureCPU(cctx, st.Workload.CPU, &st.Report.Degradations)
+	defer cspan.End()
+	t, err := p.measureCPU(cctx, w, notes)
 	if err != nil {
-		cspan.End()
-		return err
+		return 0, err
 	}
-	st.cpuPerIter = cpuPerIter
-	cspan.SetAttr(trace.Float("per_iteration_s", cpuPerIter))
-	cspan.End()
-	return nil
+	cspan.SetAttr(trace.Float("per_iteration_s", t))
+	return t, nil
 }
 
 // assembleStage totals the per-kernel and per-transfer results over
-// the iteration count (kernels relaunch each iteration; transfers
-// happen once) and accounts the degradations.
+// the iteration count and accounts the degradations.
 type assembleStage struct{}
 
 func (assembleStage) Name() string { return "assemble" }
@@ -320,16 +349,25 @@ func (assembleStage) Run(ctx context.Context, st *EvalState) error {
 		trace.Int("transfers", int64(len(st.Report.Transfers))))
 	defer span.End()
 	r := &st.Report
-	iters := float64(r.Iterations)
-	for _, k := range r.Kernels {
-		r.PredKernelTime += k.Predicted * iters
-		r.MeasKernelTime += k.Measured * iters
-	}
-	for _, tr := range r.Transfers {
-		r.PredTransferTime += tr.Predicted
-		r.MeasTransferTime += tr.Measured
-	}
-	r.CPUTime = st.cpuPerIter * iters
+	r.PredKernelTime, r.MeasKernelTime, r.PredTransferTime, r.MeasTransferTime =
+		sumResults(r.Kernels, r.Transfers, r.Iterations)
+	r.CPUTime = st.cpuPerIter * float64(r.Iterations)
 	mDegradations.Add(int64(len(r.Degradations)))
 	return nil
+}
+
+// sumResults totals kernel results over iters launches each (kernels
+// relaunch every iteration) and transfer results once (transfers
+// happen once), each in result order.
+func sumResults(ks []KernelResult, trs []TransferResult, iters int) (predKernel, measKernel, predXfer, measXfer float64) {
+	n := float64(iters)
+	for _, k := range ks {
+		predKernel += k.Predicted * n
+		measKernel += k.Measured * n
+	}
+	for _, tr := range trs {
+		predXfer += tr.Predicted
+		measXfer += tr.Measured
+	}
+	return
 }

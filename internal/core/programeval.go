@@ -6,10 +6,9 @@ import (
 
 	"grophecy/internal/cpumodel"
 	"grophecy/internal/datausage"
-	"grophecy/internal/pcie"
 	"grophecy/internal/program"
+	"grophecy/internal/skeleton"
 	"grophecy/internal/trace"
-	"grophecy/internal/transform"
 )
 
 // Program-level evaluation: the single-region pipeline of Evaluate,
@@ -89,8 +88,11 @@ func (p *Projector) EvaluateProgram(prog *program.Program, baseline cpumodel.Wor
 	return p.EvaluateProgramCtx(context.Background(), prog, baseline)
 }
 
-// EvaluateProgramCtx is EvaluateProgram with cancellation and — on a
-// resilient projector — the same degradation ladder as EvaluateCtx.
+// EvaluateProgramCtx is EvaluateProgram with cancellation. Each phase
+// runs the engine's kernel and transfer code (kernelResults,
+// transferResults) under a "phase N" span, and the baseline runs the
+// cpu stage's code, so programs and workloads share one measurement
+// protocol, backend and degradation ladder.
 func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Program, baseline cpumodel.Workload) (ProgramReport, error) {
 	if err := prog.Validate(); err != nil {
 		return ProgramReport{}, err
@@ -103,12 +105,7 @@ func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Progra
 		return ProgramReport{}, err
 	}
 
-	rep := ProgramReport{Name: prog.Name, Resilient: p.meter != nil}
-	if p.cal.Health != nil {
-		for _, d := range p.cal.Health.Degradations {
-			rep.Degradations = append(rep.Degradations, "calibration: "+d)
-		}
-	}
+	rep := ProgramReport{Name: prog.Name, Resilient: p.meter != nil, Degradations: p.calibrationNotes()}
 	ctx, espan := trace.Start(ctx, "evaluate.program",
 		trace.String("program", prog.Name),
 		trace.Int("phases", int64(len(prog.Phases))))
@@ -117,65 +114,11 @@ func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Progra
 		if err := ctx.Err(); err != nil {
 			return ProgramReport{}, err
 		}
-		phctx, phspan := trace.Start(ctx, fmt.Sprintf("phase %d", i+1))
-		var pr PhaseReport
-		for _, k := range ph.Seq.Kernels {
-			kctx, kspan := trace.Start(phctx, "kernel "+k.Name)
-			variant, proj, err := transform.BestCtx(kctx, k, p.m.GPUArch)
-			if err != nil {
-				kspan.End()
-				phspan.End()
-				return ProgramReport{}, fmt.Errorf("core: phase %d: %w", i, err)
-			}
-			measured, err := p.measureKernel(kctx, k.Name, variant.Ch, proj.Time, &rep.Degradations)
-			if err != nil {
-				kspan.End()
-				phspan.End()
-				return ProgramReport{}, fmt.Errorf("core: phase %d kernel %q: %w", i, k.Name, err)
-			}
-			pr.Kernels = append(pr.Kernels, KernelResult{
-				Kernel: k.Name, Variant: variant,
-				Predicted: proj.Time, Measured: measured,
-			})
-			iters := float64(ph.Seq.Iterations)
-			pr.PredKernelTime += proj.Time * iters
-			pr.MeasKernelTime += measured * iters
-			kspan.Advance(proj.Time * iters)
-			kspan.End()
-		}
-		phasePlan := plan.Phases[i]
-		for _, tr := range append(append([]datausage.Transfer(nil),
-			phasePlan.Uploads...), phasePlan.Downloads...) {
-			dir := pcie.HostToDevice
-			if tr.Dir == datausage.Download {
-				dir = pcie.DeviceToHost
-			}
-			tctx, tspan := trace.Start(phctx, "transfer "+tr.String(),
-				trace.Int("bytes", tr.Bytes()))
-			pred, err := p.inst.Linear.Predict(dir, tr.Bytes())
-			if err != nil {
-				tspan.End()
-				phspan.End()
-				return ProgramReport{}, err
-			}
-			meas, err := p.measureTransfer(tctx, tr.String(), dir, tr.Bytes(), pred, &rep.Degradations)
-			if err != nil {
-				tspan.End()
-				phspan.End()
-				return ProgramReport{}, err
-			}
-			pr.Transfers = append(pr.Transfers, TransferResult{
-				Transfer: tr, Predicted: pred, Measured: meas,
-			})
-			pr.PredTransferTime += pred
-			pr.MeasTransferTime += meas
-			tspan.Advance(pred)
-			tspan.End()
+		pr, err := p.evaluatePhase(ctx, i, ph.Seq, plan.Phases[i], &rep.Degradations)
+		if err != nil {
+			return ProgramReport{}, fmt.Errorf("core: phase %d: %w", i, err)
 		}
 		rep.Phases = append(rep.Phases, pr)
-		phspan.SetAttr(trace.Float("pred_kernel_s", pr.PredKernelTime))
-		phspan.SetAttr(trace.Float("pred_transfer_s", pr.PredTransferTime))
-		phspan.End()
 
 		// Naive comparison: what this phase would transfer without
 		// residency tracking.
@@ -183,26 +126,41 @@ func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Progra
 		if err != nil {
 			return ProgramReport{}, err
 		}
-		for _, tr := range naive.Uploads {
-			t, err := p.inst.Linear.Predict(pcie.HostToDevice, tr.Bytes())
-			if err != nil {
-				return ProgramReport{}, err
+		for _, group := range [2][]datausage.Transfer{naive.Uploads, naive.Downloads} {
+			for _, tr := range group {
+				t, err := p.predictTransfer(tr)
+				if err != nil {
+					return ProgramReport{}, err
+				}
+				rep.NaiveTransferPred += t
 			}
-			rep.NaiveTransferPred += t
-		}
-		for _, tr := range naive.Downloads {
-			t, err := p.inst.Linear.Predict(pcie.DeviceToHost, tr.Bytes())
-			if err != nil {
-				return ProgramReport{}, err
-			}
-			rep.NaiveTransferPred += t
 		}
 	}
 
-	cpu, err := p.measureCPU(ctx, baseline, &rep.Degradations)
-	if err != nil {
+	if rep.CPUTime, err = p.cpuBaseline(ctx, baseline, &rep.Degradations); err != nil {
 		return ProgramReport{}, err
 	}
-	rep.CPUTime = cpu
 	return rep, nil
+}
+
+// evaluatePhase runs phase i's kernels and its planned transfers
+// under a "phase N" span and totals them the way the assemble stage
+// totals a workload.
+func (p *Projector) evaluatePhase(ctx context.Context, i int, seq *skeleton.Sequence, plan program.PhasePlan, notes *[]string) (PhaseReport, error) {
+	ctx, span := trace.Start(ctx, fmt.Sprintf("phase %d", i+1))
+	defer span.End()
+	ks, err := p.kernelResults(ctx, seq, notes)
+	if err != nil {
+		return PhaseReport{}, err
+	}
+	trs, err := p.transferResults(ctx, plan.Uploads, plan.Downloads, notes)
+	if err != nil {
+		return PhaseReport{}, err
+	}
+	pr := PhaseReport{Kernels: ks, Transfers: trs}
+	pr.PredKernelTime, pr.MeasKernelTime, pr.PredTransferTime, pr.MeasTransferTime =
+		sumResults(ks, trs, seq.Iterations)
+	span.SetAttr(trace.Float("pred_kernel_s", pr.PredKernelTime))
+	span.SetAttr(trace.Float("pred_transfer_s", pr.PredTransferTime))
+	return pr, nil
 }
