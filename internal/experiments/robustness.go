@@ -7,6 +7,7 @@ import (
 
 	"grophecy/internal/stats"
 	"grophecy/internal/sweep"
+	"grophecy/internal/trace"
 )
 
 // Robustness: the paper evaluates one physical machine; this
@@ -52,6 +53,10 @@ func RobustnessCtx(ctx context.Context, baseSeed uint64, n int) (RobustnessResul
 		seeds[i] = baseSeed + uint64(i)*0x9e3779b97f4a7c15
 	}
 	points, err := sweep.RunCtx(ctx, n, 0, func(i int) (point, error) {
+		// Seeds run concurrently: each gets its own run, so its spans
+		// keep their own simulated clock.
+		ctx, run := trace.StartRun(ctx, fmt.Sprintf("seed %d", i))
+		defer run.End()
 		ec, err := NewContext(seeds[i])
 		if err != nil {
 			return point{}, err

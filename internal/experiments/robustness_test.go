@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"grophecy/internal/trace"
 )
 
 func TestRobustnessOrderingHoldsAcrossSeeds(t *testing.T) {
@@ -67,5 +69,21 @@ func TestRenderRobustness(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+// TestRobustnessTraceWellFormed: the sweep's seeds run concurrently
+// under one tracer, as in `paper -robustness N -trace FILE`; each seed
+// owns a run, so the tree passes Check.
+func TestRobustnessTraceWellFormed(t *testing.T) {
+	tracer := trace.New("paper")
+	ctx, span := trace.Start(trace.With(context.Background(), tracer), "robustness")
+	if _, err := RobustnessCtx(ctx, 7, 2); err != nil {
+		t.Fatal(err)
+	}
+	span.End()
+	tracer.Close()
+	if err := tracer.Check(); err != nil {
+		t.Error(err)
 	}
 }
