@@ -15,9 +15,9 @@ all: check
 # The default verification gate: everything must compile, pass vet,
 # pass the full test suite under the race detector, keep total
 # coverage at or above COVER_BASELINE, hold the benchmark regression
-# gate against the committed baseline, and bring up a real grophecyd
-# end to end.
-check: build vet race cover bench-gate smoke smoke-chaos
+# gate against the committed baseline, bring up a real grophecyd end
+# to end, and run every example program.
+check: build vet race cover bench-gate smoke smoke-chaos examples
 
 race:
 	$(GO) test -race ./...
