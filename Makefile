@@ -8,7 +8,7 @@ GO ?= go
 COVER_BASELINE ?= 78.0
 COVER_PROFILE  ?= out/cover.out
 
-.PHONY: all check build test vet race cover bench bench-json bench-gate smoke smoke-chaos paper csv examples fuzz fuzz-short fmt clean
+.PHONY: all check build test vet race cover bench bench-json bench-gate smoke smoke-chaos outputs-ab paper csv examples fuzz fuzz-short fmt clean
 
 all: check
 
@@ -71,6 +71,16 @@ smoke:
 # SIGKILL via the snapshot store, and quarantine corrupt snapshots.
 smoke-chaos:
 	$(GO) run ./internal/tools/smoke -chaos
+
+# Output-compat A/B against revision BASE: run one fixed list of
+# grophecy (every app size x backend, clean and under two fault plans,
+# plus pipeline.sk), pciecal -trace and paper -all on BASE and on the
+# working tree, and fail on any difference in text, JSON, span, metric
+# or Chrome trace output. Not part of check, because it needs a BASE:
+# `make outputs-ab BASE=HEAD`.
+outputs-ab:
+	@test -n "$(BASE)" || { echo "usage: make outputs-ab BASE=<rev>" >&2; exit 2; }
+	bash scripts/outputs-ab.sh $(BASE)
 
 # Regenerate every table and figure of the paper (plus extensions).
 paper:
