@@ -1,9 +1,10 @@
 // Benchmark harness: one testing.B benchmark per table and figure of
 // the paper's evaluation (DESIGN.md §4 maps each to its experiment).
 //
-// Each benchmark regenerates its table/figure from the shared
+// Each benchmark times regenerating its table/figure on the shared
 // simulated machine and reports domain-specific metrics (error
-// percentages, speedups) via b.ReportMetric, so
+// percentages, speedups) via b.ReportMetric, computed once on a
+// freshly seeded machine so they do not depend on run order, so
 //
 //	go test -bench=. -benchmem
 //
@@ -58,6 +59,19 @@ func sharedCtx(b *testing.B) *experiments.Context {
 	return ctx
 }
 
+// metricCtx builds a freshly seeded machine and projector for
+// computing a benchmark's domain metrics once, outside its timed
+// loop. sharedCtx's noise streams have been moved by whichever
+// benchmarks ran before it, by amounts that depend on b.N.
+func metricCtx(b *testing.B) *experiments.Context {
+	b.Helper()
+	c, err := experiments.NewContext(experiments.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
 func BenchmarkFig2TransferSweep(b *testing.B) {
 	c := sharedCtx(b)
 	for i := 0; i < b.N; i++ {
@@ -72,58 +86,66 @@ func BenchmarkFig2TransferSweep(b *testing.B) {
 }
 
 func BenchmarkFig3PinnedSpeedup(b *testing.B) {
+	rows, err := metricCtx(b).Fig3()
+	if err != nil {
+		b.Fatal(err)
+	}
 	c := sharedCtx(b)
-	var last float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := c.Fig3()
-		if err != nil {
+		if _, err := c.Fig3(); err != nil {
 			b.Fatal(err)
 		}
-		last = rows[len(rows)-1].SpeedupH2D
 	}
-	b.ReportMetric(last, "pinned-speedup-512MB")
+	b.ReportMetric(rows[len(rows)-1].SpeedupH2D, "pinned-speedup-512MB")
 }
 
 func BenchmarkFig4ModelError(b *testing.B) {
+	_, sums, err := metricCtx(b).Fig4()
+	if err != nil {
+		b.Fatal(err)
+	}
 	c := sharedCtx(b)
-	var meanH2D, meanD2H float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, sums, err := c.Fig4()
-		if err != nil {
+		if _, _, err := c.Fig4(); err != nil {
 			b.Fatal(err)
 		}
-		meanH2D, meanD2H = sums[0].MeanErr, sums[1].MeanErr
 	}
-	b.ReportMetric(100*meanH2D, "mean-err-C2G-%")
-	b.ReportMetric(100*meanD2H, "mean-err-G2C-%")
+	b.ReportMetric(100*sums[0].MeanErr, "mean-err-C2G-%")
+	b.ReportMetric(100*sums[1].MeanErr, "mean-err-G2C-%")
 }
 
 func BenchmarkTable1Measured(b *testing.B) {
+	rows, err := metricCtx(b).Table1()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var xs []float64
+	for _, r := range rows {
+		xs = append(xs, r.PercentTransfer)
+	}
 	c := sharedCtx(b)
-	var pct float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := c.Table1()
-		if err != nil {
+		if _, err := c.Table1(); err != nil {
 			b.Fatal(err)
 		}
-		var xs []float64
-		for _, r := range rows {
-			xs = append(xs, r.PercentTransfer)
-		}
-		pct = stats.Mean(xs)
 	}
-	b.ReportMetric(100*pct, "mean-transfer-share-%")
+	b.ReportMetric(100*stats.Mean(xs), "mean-transfer-share-%")
 }
 
 func BenchmarkFig5AppTransfers(b *testing.B) {
+	_, meanErr, err := metricCtx(b).Fig5()
+	if err != nil {
+		b.Fatal(err)
+	}
 	c := sharedCtx(b)
-	var meanErr float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, e, err := c.Fig5()
-		if err != nil {
+		if _, _, err := c.Fig5(); err != nil {
 			b.Fatal(err)
 		}
-		meanErr = e
 	}
 	b.ReportMetric(100*meanErr, "mean-transfer-err-%")
 }
@@ -142,18 +164,19 @@ func BenchmarkFig6ErrorScatter(b *testing.B) {
 }
 
 func benchSpeedupBySize(b *testing.B, app string) {
-	c := sharedCtx(b)
+	rows, err := metricCtx(b).SpeedupBySize(app)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var worstKernelOnly float64
+	for _, r := range rows {
+		worstKernelOnly = max(worstKernelOnly, r.ErrKernel)
+	}
+	c := sharedCtx(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := c.SpeedupBySize(app)
-		if err != nil {
+		if _, err := c.SpeedupBySize(app); err != nil {
 			b.Fatal(err)
-		}
-		worstKernelOnly = 0
-		for _, r := range rows {
-			if r.ErrKernel > worstKernelOnly {
-				worstKernelOnly = r.ErrKernel
-			}
 		}
 	}
 	b.ReportMetric(100*worstKernelOnly, "worst-kernel-only-err-%")
@@ -164,16 +187,18 @@ func BenchmarkFig9HotSpot(b *testing.B) { benchSpeedupBySize(b, "HotSpot") }
 func BenchmarkFig11SRAD(b *testing.B)   { benchSpeedupBySize(b, "SRAD") }
 
 func benchIterSweep(b *testing.B, app, size string, iters []int) {
+	sweep, err := metricCtx(b).IterationSweep(app, size, iters)
+	if err != nil {
+		b.Fatal(err)
+	}
 	c := sharedCtx(b)
-	var limitErr float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sweep, err := c.IterationSweep(app, size, iters)
-		if err != nil {
+		if _, err := c.IterationSweep(app, size, iters); err != nil {
 			b.Fatal(err)
 		}
-		limitErr = stats.ErrorMagnitude(sweep.LimitPred, sweep.LimitMeasured)
 	}
-	b.ReportMetric(100*limitErr, "limit-err-%")
+	b.ReportMetric(100*stats.ErrorMagnitude(sweep.LimitPred, sweep.LimitMeasured), "limit-err-%")
 }
 
 func BenchmarkFig8CFDIters(b *testing.B) {
@@ -189,12 +214,14 @@ func BenchmarkFig12SRADIters(b *testing.B) {
 }
 
 func BenchmarkStassuij(b *testing.B) {
+	res, err := metricCtx(b).Stassuij()
+	if err != nil {
+		b.Fatal(err)
+	}
 	c := sharedCtx(b)
-	var res experiments.StassuijResult
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = c.Stassuij()
-		if err != nil {
+		if _, err := c.Stassuij(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,12 +231,14 @@ func BenchmarkStassuij(b *testing.B) {
 }
 
 func BenchmarkTable2SpeedupError(b *testing.B) {
+	res, err := metricCtx(b).Table2()
+	if err != nil {
+		b.Fatal(err)
+	}
 	c := sharedCtx(b)
-	var res experiments.Table2Result
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = c.Table2()
-		if err != nil {
+		if _, err := c.Table2(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,19 +251,19 @@ func BenchmarkTable2SpeedupError(b *testing.B) {
 // per-array memory-kind planning with allocation overhead, plus the
 // §III-B batching tradeoff, over all ten workloads.
 func BenchmarkFutureWorkPlanning(b *testing.B) {
-	c := sharedCtx(b)
-	var rows []experiments.FutureWorkRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = c.FutureWork()
-		if err != nil {
-			b.Fatal(err)
-		}
+	rows, err := metricCtx(b).FutureWork()
+	if err != nil {
+		b.Fatal(err)
 	}
 	var best float64
 	for _, r := range rows {
-		if s := r.PlanSavings(); s > best {
-			best = s
+		best = max(best, r.PlanSavings())
+	}
+	c := sharedCtx(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.FutureWork(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(100*best, "best-plan-saving-%")
@@ -243,13 +272,15 @@ func BenchmarkFutureWorkPlanning(b *testing.B) {
 // BenchmarkDecisionMap sweeps the port-verdict map over workload
 // space (the decision-support extension of the paper's conclusion).
 func BenchmarkDecisionMap(b *testing.B) {
-	c := sharedCtx(b)
 	flops, iters := experiments.DefaultDecisionAxes()
-	var res experiments.DecisionMapResult
+	res, err := metricCtx(b).DecisionMap(1024, flops, iters)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := sharedCtx(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = c.DecisionMap(1024, flops, iters)
-		if err != nil {
+		if _, err := c.DecisionMap(1024, flops, iters); err != nil {
 			b.Fatal(err)
 		}
 	}
