@@ -14,7 +14,9 @@
 //   - the predicted data transfer time comes from the calibrated
 //     linear model; the real one is measured on the (simulated) bus
 //     using pinned memory;
-//   - every measured time is the arithmetic mean of ten runs;
+//   - every measured time is the arithmetic mean of ten runs, taken
+//     by the measure.Meter that runs the resilient protocol instead
+//     on a machine with armed faults;
 //   - total GPU time = sum of kernel times (one launch per kernel per
 //     iteration) + collective transfer time (once, independent of the
 //     iteration count);
@@ -264,9 +266,9 @@ func (r Report) LimitSpeedups() (measured, predicted float64) {
 //
 // The measurement protocol follows the machine: a clean machine
 // measures with the paper's raw 10-run means; a machine with armed
-// faults (Machine.ArmFaults) calibrates and measures through the
-// resilient layer (internal/measure, measure.DefaultConfig) over the
-// fault-wrapped surfaces, with every backend.
+// faults (Machine.ArmFaults) calibrates and measures with the
+// resilient protocol (measure.DefaultConfig) over the fault-wrapped
+// surfaces, with every backend.
 type Projector struct {
 	m    *Machine
 	kind pcie.MemoryKind
@@ -278,12 +280,11 @@ type Projector struct {
 	inst        backend.Instance
 	cal         Calibration
 
-	// meter is non-nil exactly when the machine has armed faults: it
-	// switches every measurement to the resilient protocol (retries,
-	// deadlines, robust estimators, graceful degradation) over the
-	// fault-wrapped surfaces. Nil reproduces the paper's raw 10-run
-	// means bit-for-bit.
+	// meter takes every measurement from surf: on a clean machine the
+	// paper's 10-run mean over pass-through surfaces, bit for bit; on
+	// an armed one the resilient protocol over its fault-wrapped ones.
 	meter *measure.Meter
+	surf  *fault.Set
 }
 
 // Options selects what New calibrates. The zero value is the paper's
@@ -333,7 +334,7 @@ func New(ctx context.Context, m *Machine, opts Options) (*Projector, error) {
 	cfg := xfermodel.DefaultCalibration()
 	cfg.Kind = opts.Memory
 	comp := backend.Components{Bus: m.Bus, Arch: m.GPUArch, Seed: m.Seed}
-	if p.meter != nil {
+	if m.Faults != nil {
 		comp.Meter, comp.Source = p.meter, m.Faults.Bus
 	}
 	inst, fit, err := b.Calibrate(ctx, comp, cfg)
@@ -342,7 +343,7 @@ func New(ctx context.Context, m *Machine, opts Options) (*Projector, error) {
 	}
 	p.inst = inst
 	p.cal = Calibration{Fit: fit, Model: inst.Linear, BusState: m.Bus.NoiseState(), Health: inst.Health}
-	if p.meter != nil {
+	if m.Faults != nil {
 		p.cal.Faults = m.Faults.Bus.State()
 		p.cal.MeterState = p.meter.State()
 	}
@@ -359,7 +360,7 @@ func Restore(m *Machine, cal Calibration) (*Projector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if (p.meter != nil) != (cal.Health != nil) {
+	if (m.Faults != nil) != (cal.Health != nil) {
 		return nil, errdefs.Invalidf("core: calibration and machine disagree on fault injection")
 	}
 	inst, err := b.Restore(cal.Fit)
@@ -368,7 +369,7 @@ func Restore(m *Machine, cal Calibration) (*Projector, error) {
 	}
 	p.inst, p.cal = inst, cal
 	m.Bus.SetNoiseState(cal.BusState)
-	if p.meter != nil {
+	if m.Faults != nil {
 		m.Faults.Bus.SetState(cal.Faults)
 		p.meter.SetState(cal.MeterState)
 	}
@@ -376,7 +377,7 @@ func Restore(m *Machine, cal Calibration) (*Projector, error) {
 }
 
 // prepare is the part New and Restore share: argument checks,
-// backend resolution and, on an armed machine, the resilient meter.
+// backend resolution, and the machine's meter and surfaces.
 func prepare(m *Machine, name string, kind pcie.MemoryKind) (*Projector, backend.Backend, error) {
 	if m == nil {
 		return nil, nil, errdefs.Invalidf("core: projector with nil machine")
@@ -388,11 +389,14 @@ func prepare(m *Machine, name string, kind pcie.MemoryKind) (*Projector, backend
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &Projector{m: m, kind: kind, backendName: b.Name()}
-	if m.Faults != nil {
-		if p.meter, err = measure.New(measure.DefaultConfig()); err != nil {
-			return nil, nil, err
-		}
+	p := &Projector{m: m, kind: kind, backendName: b.Name(), surf: m.Faults}
+	cfg := measure.DefaultConfig()
+	if p.surf == nil {
+		// The empty plan is a strict pass-through: it draws nothing.
+		cfg, p.surf = measure.Config{Runs: MeasureRuns}, fault.NewSet(fault.Plan{}, m.Bus, m.GPU, m.CPU)
+	}
+	if p.meter, err = measure.New(cfg); err != nil {
+		return nil, nil, err
 	}
 	return p, b, nil
 }
@@ -435,11 +439,10 @@ func (p *Projector) Evaluate(w Workload) (Report, error) {
 	return p.EvaluateCtx(context.Background(), w)
 }
 
-// EvaluateCtx is Evaluate with cancellation. A raw projector checks
-// ctx between measurement groups; a resilient projector additionally
-// enforces it inside every measurement, degrades gracefully on
-// absorbed failures, and records every fallback in
-// Report.Degradations.
+// EvaluateCtx is Evaluate with cancellation, which every measurement
+// checks before each sample. A resilient projector additionally
+// degrades gracefully on absorbed failures and records every fallback
+// in Report.Degradations.
 //
 // The evaluation runs through the staged engine (see engine.go):
 // datausage → kernels → transfers → cpu → assemble, composed by
@@ -475,16 +478,17 @@ func busDir(tr datausage.Transfer) pcie.Direction {
 	return pcie.HostToDevice
 }
 
-// measureKernel measures one kernel's per-invocation time. The raw
-// pipeline uses the paper's 10-run mean; the resilient pipeline uses
-// the robust protocol and degrades to the analytical prediction.
+// measureKernel measures one kernel's per-invocation time, degrading
+// to the analytical prediction. It simulates the kernel once and
+// samples launches of that base time.
 func (p *Projector) measureKernel(ctx context.Context, name string, ch perfmodel.Characteristics, predicted float64, notes *[]string) (float64, error) {
 	ctx, span := trace.Start(ctx, "measure.kernel", trace.Int("runs", MeasureRuns))
 	defer span.End()
-	if p.meter == nil {
-		return p.m.GPU.MeasureMean(ch, MeasureRuns)
+	base, err := p.m.GPU.BaseTime(ch)
+	if err != nil {
+		return 0, err
 	}
-	res, err := p.meter.Sample(ctx, func() (float64, error) { return p.m.Faults.GPU.Run(ch) })
+	res, err := p.meter.Sample(ctx, func() (float64, error) { return p.surf.GPU.Launch(base) })
 	if err != nil {
 		return degrade(ctx, "kernel", name, res, err, "analytical prediction",
 			func() (float64, error) { return predicted, nil }, notes)
@@ -497,10 +501,7 @@ func (p *Projector) measureKernel(ctx context.Context, name string, ch perfmodel
 func (p *Projector) measureTransfer(ctx context.Context, tr datausage.Transfer, predicted float64, notes *[]string) (float64, error) {
 	ctx, span := trace.Start(ctx, "measure.transfer", trace.Int("runs", MeasureRuns))
 	defer span.End()
-	if p.meter == nil {
-		return p.m.Bus.MeasureMean(busDir(tr), p.kind, tr.Bytes(), MeasureRuns)
-	}
-	res, err := p.meter.MeasureTransfer(ctx, p.m.Faults.Bus, busDir(tr), p.kind, tr.Bytes())
+	res, err := p.meter.MeasureTransfer(ctx, p.surf.Bus, busDir(tr), p.kind, tr.Bytes())
 	if err != nil {
 		return degrade(ctx, "transfer", tr, res, err, "model prediction",
 			func() (float64, error) { return predicted, nil }, notes)
@@ -513,10 +514,7 @@ func (p *Projector) measureTransfer(ctx context.Context, tr datausage.Transfer, 
 func (p *Projector) measureCPU(ctx context.Context, w cpumodel.Workload, notes *[]string) (float64, error) {
 	ctx, span := trace.Start(ctx, "measure.cpu", trace.Int("runs", MeasureRuns))
 	defer span.End()
-	if p.meter == nil {
-		return p.m.CPU.MeasureMean(w, MeasureRuns)
-	}
-	res, err := p.meter.Sample(ctx, func() (float64, error) { return p.m.Faults.CPU.Run(w) })
+	res, err := p.meter.Sample(ctx, func() (float64, error) { return p.surf.CPU.Run(w) })
 	if err != nil {
 		return degrade(ctx, "CPU baseline", nil, res, err, "noiseless model time",
 			func() (float64, error) { return p.m.CPU.BaseTime(w) }, notes)
@@ -524,9 +522,9 @@ func (p *Projector) measureCPU(ctx context.Context, w cpumodel.Workload, notes *
 	return res.Value, nil
 }
 
-// degrade is the degradation ladder every resilient measurement walks
-// when its robust protocol fails with err: keep the partial estimate
-// when res has samples, else use fallback (described as using), else
+// degrade is the degradation ladder every measurement walks when its
+// protocol fails with err: keep the partial estimate when res has
+// samples, else use fallback (described as using), else
 // propagate err when it is not degradable. kind names what was
 // measured ("kernel", "transfer", "CPU baseline"); name, when non-nil,
 // identifies which one (a kernel name, a datausage.Transfer) and is

@@ -132,7 +132,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report
 	lg.Debug("projection started",
 		"size", w.DataSize,
 		"iterations", w.Seq.Iterations,
-		"resilient", p.meter != nil)
+		"resilient", p.m.Faults != nil)
 	ctx, span := trace.Start(ctx, "evaluate",
 		trace.String("workload", w.Name),
 		trace.String("size", w.DataSize),
@@ -190,7 +190,7 @@ func (analyzeStage) Run(ctx context.Context, st *EvalState) error {
 		DataSize:     w.DataSize,
 		Iterations:   w.Seq.Iterations,
 		Plan:         plan,
-		Resilient:    p.meter != nil,
+		Resilient:    p.m.Faults != nil,
 		Degradations: p.calibrationNotes(),
 	}
 	return nil

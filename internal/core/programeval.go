@@ -105,7 +105,7 @@ func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Progra
 		return ProgramReport{}, err
 	}
 
-	rep := ProgramReport{Name: prog.Name, Resilient: p.meter != nil, Degradations: p.calibrationNotes()}
+	rep := ProgramReport{Name: prog.Name, Resilient: p.m.Faults != nil, Degradations: p.calibrationNotes()}
 	ctx, espan := trace.Start(ctx, "evaluate.program",
 		trace.String("program", prog.Name),
 		trace.Int("phases", int64(len(prog.Phases))))

@@ -244,20 +244,3 @@ func (s *Sim) Run(w Workload) (float64, error) {
 	}
 	return base * s.noise.LogNormalFactor(s.cfg.NoiseSigma), nil
 }
-
-// MeasureMean returns the arithmetic mean over runs measurements of
-// one iteration, the paper's measurement protocol.
-func (s *Sim) MeasureMean(w Workload, runs int) (float64, error) {
-	if runs <= 0 {
-		return 0, fmt.Errorf("cpumodel: MeasureMean needs at least one run")
-	}
-	var sum float64
-	for i := 0; i < runs; i++ {
-		t, err := s.Run(w)
-		if err != nil {
-			return 0, err
-		}
-		sum += t
-	}
-	return sum / float64(runs), nil
-}

@@ -270,20 +270,6 @@ func TestRunNoiseAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestMeasureMean(t *testing.T) {
-	s := newSim()
-	if _, err := s.MeasureMean(stencil(100), 0); err == nil {
-		t.Error("zero runs accepted")
-	}
-	m, err := s.MeasureMean(stencil(100), 10)
-	if err != nil || m <= 0 {
-		t.Errorf("MeasureMean = %v, %v", m, err)
-	}
-	if _, err := s.MeasureMean(Workload{}, 3); err == nil {
-		t.Error("invalid workload accepted")
-	}
-}
-
 func TestErrorsOnInvalidWorkload(t *testing.T) {
 	s := newSim()
 	if _, err := s.BaseTime(Workload{}); err == nil {

@@ -46,7 +46,6 @@ import (
 	"grophecy/internal/errdefs"
 	"grophecy/internal/gpusim"
 	"grophecy/internal/pcie"
-	"grophecy/internal/perfmodel"
 	"grophecy/internal/rng"
 )
 
@@ -397,16 +396,14 @@ func NewGPU(sim *gpusim.Sim, plan Plan) *GPU {
 // Stats returns the faults injected so far.
 func (g *GPU) Stats() Stats { return g.in.snapshot() }
 
-// Run simulates one (possibly faulty) kernel launch observation.
-func (g *GPU) Run(ch perfmodel.Characteristics) (float64, error) {
+// Launch observes one (possibly faulty) launch of a kernel whose
+// noiseless time is base (gpusim.Sim.BaseTime), so a measurement
+// simulates the kernel once and draws only noise and faults per run.
+func (g *GPU) Launch(base float64) (float64, error) {
 	if err := g.in.pre("kernel launch"); err != nil {
 		return 0, err
 	}
-	t, err := g.inner.Run(ch)
-	if err != nil {
-		return 0, err
-	}
-	return g.in.post(t), nil
+	return g.in.post(g.inner.Launch(base)), nil
 }
 
 // CPU wraps a cpumodel.Sim with the plan's fault stream.

@@ -9,10 +9,29 @@ import (
 	"grophecy/internal/gpu"
 	"grophecy/internal/gpusim"
 	"grophecy/internal/pcie"
+	"grophecy/internal/perfmodel"
 	"grophecy/internal/units"
 )
 
 func testBus() *pcie.Bus { return pcie.NewBus(pcie.DefaultConfig()) }
+
+func testGPU() *gpusim.Sim { return gpusim.New(gpu.QuadroFX5600(), gpusim.DefaultConfig()) }
+
+// testKernel is a small streaming kernel and its noiseless launch
+// time on testGPU.
+func testKernel(t *testing.T) (perfmodel.Characteristics, float64) {
+	t.Helper()
+	ch := perfmodel.Characteristics{
+		Name: "streaming", Threads: 1 << 16, BlockSize: 256,
+		CompInstsPerThread: 20, GlobalLoadsPerThread: 2, GlobalStoresPerThread: 1,
+		TransactionsPerRequest: 2, BytesPerThread: 12, RegsPerThread: 10,
+	}
+	base, err := testGPU().BaseTime(ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch, base
+}
 
 func heavyPlan() Plan {
 	return Plan{
@@ -25,47 +44,105 @@ func heavyPlan() Plan {
 }
 
 func TestEmptyPlanIsBitIdenticalPassthrough(t *testing.T) {
-	raw := testBus()
-	wrapped := NewBus(testBus(), Plan{})
-	for i := 0; i < 200; i++ {
-		a, errA := raw.Transfer(pcie.HostToDevice, pcie.Pinned, units.KB)
-		b, errB := wrapped.Transfer(pcie.HostToDevice, pcie.Pinned, units.KB)
-		if errA != nil || errB != nil {
-			t.Fatalf("errors: %v, %v", errA, errB)
-		}
-		if a != b {
-			t.Fatalf("observation %d: raw %v != wrapped %v", i, a, b)
-		}
+	_, base := testKernel(t)
+	rawBus, rawGPU := testBus(), testGPU()
+	bus, g := NewBus(testBus(), Plan{}), NewGPU(testGPU(), Plan{})
+	surfaces := []struct {
+		name         string
+		raw, wrapped func() (float64, error)
+		in           *injector
+	}{
+		{"bus",
+			func() (float64, error) { return rawBus.Transfer(pcie.HostToDevice, pcie.Pinned, units.KB) },
+			func() (float64, error) { return bus.Transfer(pcie.HostToDevice, pcie.Pinned, units.KB) },
+			bus.in},
+		{"gpu",
+			func() (float64, error) { return rawGPU.Launch(base), nil },
+			func() (float64, error) { return g.Launch(base) },
+			g.in},
 	}
-	if s := wrapped.Stats(); s != (Stats{}) {
-		t.Errorf("empty plan accumulated stats %+v", s)
+	for _, s := range surfaces {
+		noise := s.in.noise.State()
+		for i := 0; i < 200; i++ {
+			a, errA := s.raw()
+			b, errB := s.wrapped()
+			if errA != nil || errB != nil {
+				t.Fatalf("%s: errors: %v, %v", s.name, errA, errB)
+			}
+			if a != b {
+				t.Fatalf("%s: observation %d: raw %v != wrapped %v", s.name, i, a, b)
+			}
+		}
+		if st := s.in.snapshot(); st != (Stats{}) {
+			t.Errorf("%s: empty plan accumulated stats %+v", s.name, st)
+		}
+		if s.in.noise.State() != noise {
+			t.Errorf("%s: empty plan consumed its fault stream", s.name)
+		}
 	}
 }
 
+// heavyRun takes 500 observations under one wrapper and returns their
+// times, which ones failed, and the wrapper's stats.
+func heavyRun(observe func() (float64, error), stats func() Stats) ([]float64, []bool, Stats) {
+	var times []float64
+	var failed []bool
+	for i := 0; i < 500; i++ {
+		v, err := observe()
+		times = append(times, v)
+		failed = append(failed, err != nil)
+	}
+	return times, failed, stats()
+}
+
 func TestFaultSequenceDeterministic(t *testing.T) {
-	run := func() ([]float64, []bool, Stats) {
+	ch, base := testKernel(t)
+	busRun := func() ([]float64, []bool, Stats) {
 		b := NewBus(testBus(), heavyPlan())
-		var times []float64
-		var failed []bool
-		for i := 0; i < 500; i++ {
-			v, err := b.Transfer(pcie.DeviceToHost, pcie.Pinned, units.MB)
-			times = append(times, v)
-			failed = append(failed, err != nil)
+		return heavyRun(func() (float64, error) {
+			return b.Transfer(pcie.DeviceToHost, pcie.Pinned, units.MB)
+		}, b.Stats)
+	}
+	// The GPU's reference observes each launch through the whole
+	// simulator (pre, Sim.Run, post), as launches were observed before
+	// Launch took a precomputed base time; Launch must inject exactly
+	// the same faults.
+	cases := []struct {
+		name string
+		a, b func() ([]float64, []bool, Stats)
+	}{
+		{"bus", busRun, busRun},
+		{"gpu", func() ([]float64, []bool, Stats) {
+			g := NewGPU(testGPU(), heavyPlan())
+			return heavyRun(func() (float64, error) { return g.Launch(base) }, g.Stats)
+		}, func() ([]float64, []bool, Stats) {
+			g := NewGPU(testGPU(), heavyPlan())
+			return heavyRun(func() (float64, error) {
+				if err := g.in.pre("kernel launch"); err != nil {
+					return 0, err
+				}
+				t, err := g.inner.Run(ch)
+				if err != nil {
+					return 0, err
+				}
+				return g.in.post(t), nil
+			}, g.Stats)
+		}},
+	}
+	for _, c := range cases {
+		t1, f1, s1 := c.a()
+		t2, f2, s2 := c.b()
+		if s1 != s2 {
+			t.Fatalf("%s: stats diverged: %+v vs %+v", c.name, s1, s2)
 		}
-		return times, failed, b.Stats()
-	}
-	t1, f1, s1 := run()
-	t2, f2, s2 := run()
-	if s1 != s2 {
-		t.Fatalf("stats diverged: %+v vs %+v", s1, s2)
-	}
-	for i := range t1 {
-		if t1[i] != t2[i] || f1[i] != f2[i] {
-			t.Fatalf("observation %d diverged: (%v,%v) vs (%v,%v)", i, t1[i], f1[i], t2[i], f2[i])
+		for i := range t1 {
+			if t1[i] != t2[i] || f1[i] != f2[i] {
+				t.Fatalf("%s: observation %d diverged: (%v,%v) vs (%v,%v)", c.name, i, t1[i], f1[i], t2[i], f2[i])
+			}
 		}
-	}
-	if s1.Transients == 0 || s1.Outliers == 0 || s1.Slowed == 0 {
-		t.Errorf("heavy plan injected nothing: %+v", s1)
+		if s1.Transients == 0 || s1.Outliers == 0 || s1.Slowed == 0 {
+			t.Errorf("%s: heavy plan injected nothing: %+v", c.name, s1)
+		}
 	}
 }
 
@@ -230,7 +307,7 @@ func TestParsePlanRejectsMalformed(t *testing.T) {
 }
 
 func TestSetAggregatesStats(t *testing.T) {
-	sim := gpusim.New(gpu.QuadroFX5600(), gpusim.DefaultConfig())
+	sim := testGPU()
 	cpuSim := cpumodel.New(cpumodel.XeonE5405(), cpumodel.DefaultConfig())
 	set := NewSet(Plan{DriftRate: 1e-9, Seed: 1}, testBus(), sim, cpuSim)
 	if _, err := set.Bus.Transfer(pcie.HostToDevice, pcie.Pinned, units.KB); err != nil {

@@ -97,12 +97,12 @@ func (s *Sim) Run(ch perfmodel.Characteristics) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.launch(base), nil
+	return s.Launch(base), nil
 }
 
-// launch observes one launch of a kernel whose noiseless time is
-// base: one noise draw, counted in the launch metrics.
-func (s *Sim) launch(base float64) float64 {
+// Launch observes one launch of a kernel whose noiseless time is
+// base (BaseTime): one noise draw, counted in the launch metrics.
+func (s *Sim) Launch(base float64) float64 {
 	t := base * s.noise.LogNormalFactor(s.cfg.NoiseSigma)
 	mLaunches.Inc()
 	mLaunchSeconds.Observe(t)
@@ -125,7 +125,7 @@ func (s *Sim) MeasureMean(ch perfmodel.Characteristics, runs int) (float64, erro
 	}
 	var sum float64
 	for i := 0; i < runs; i++ {
-		sum += s.launch(base)
+		sum += s.Launch(base)
 	}
 	return sum / float64(runs), nil
 }
@@ -150,8 +150,8 @@ type Detail struct {
 	Time float64
 }
 
-// BaseTime returns the noiseless simulated execution time. Exposed
-// for tests; experiments use Run/MeasureMean.
+// BaseTime returns the noiseless simulated execution time, the base
+// that Launch draws noise around.
 func (s *Sim) BaseTime(ch perfmodel.Characteristics) (float64, error) {
 	d, err := s.Simulate(ch)
 	if err != nil {

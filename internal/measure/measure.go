@@ -1,10 +1,11 @@
-// Package measure is the resilient measurement layer of the
-// GROPHECY++ pipeline: the hardened replacement for the naive
-// MeasureMean primitives used by calibration and experiments.
+// Package measure is the measurement protocol of the GROPHECY++
+// pipeline. Config{Runs: 10} is the paper's protocol, the arithmetic
+// mean of ten raw observations (§IV-A), bit for bit; DefaultConfig is
+// its resilient form.
 //
-// The paper's protocol — the arithmetic mean of ten raw observations
-// (§IV-A) — silently assumes every observation succeeds and none is
-// an outlier. This package drops that assumption:
+// The paper's protocol silently assumes every observation succeeds
+// and none is an outlier. The resilient configuration drops that
+// assumption:
 //
 //   - Transient failures (errdefs.ErrTransient) are retried with
 //     capped exponential backoff plus deterministic jitter. Backoff
@@ -225,11 +226,16 @@ func (m *Meter) SetState(state uint64) { m.rng.SetState(state) }
 // returned alongside an error wrapping errdefs.ErrMeasureTimeout, so
 // callers can degrade gracefully instead of discarding good samples.
 //
-// Every call updates the measure_* instruments and, when the context
+// When the protocol can retry, extend or time out a measurement,
+// every call updates the measure_* instruments and, when the context
 // carries a trace span, annotates it with the sample count, retries,
-// and simulated cost of this measurement.
+// and simulated cost of this measurement. A fixed-count protocol (the
+// paper's) records nothing.
 func (m *Meter) Sample(ctx context.Context, sample func() (float64, error)) (Result, error) {
 	res, err := m.sampleLoop(ctx, sample)
+	if c := &m.cfg; c.MaxRetries == 0 && c.Deadline == 0 && c.MaxRuns <= c.Runs {
+		return res, err
+	}
 	mSamples.Add(int64(res.Samples))
 	mRetries.Add(int64(res.Retries))
 	if errdefs.IsMeasureTimeout(err) {
@@ -251,16 +257,22 @@ func (m *Meter) Sample(ctx context.Context, sample func() (float64, error)) (Res
 // sampleLoop is the uninstrumented measurement protocol.
 func (m *Meter) sampleLoop(ctx context.Context, sample func() (float64, error)) (Result, error) {
 	var res Result
-	var samples []float64
+	var buf [32]float64 // holds DefaultConfig's MaxRuns without allocating
+	samples := buf[:0]
 
 	maxRuns := m.cfg.MaxRuns
 	if maxRuns == 0 {
 		maxRuns = m.cfg.Runs
 	}
 
+	// Poll Done rather than call Err per sample: a cancellable
+	// context's Err takes a lock on every call.
+	done := ctx.Done()
 	for len(samples) < maxRuns {
-		if err := ctx.Err(); err != nil {
-			return m.finish(res, samples), fmt.Errorf("%w: %w", errdefs.ErrMeasureTimeout, err)
+		select {
+		case <-done:
+			return m.finish(res, samples), fmt.Errorf("%w: %w", errdefs.ErrMeasureTimeout, ctx.Err())
+		default:
 		}
 		if m.cfg.Deadline > 0 && res.SimTime > m.cfg.Deadline {
 			obs.Log(ctx).Warn("measurement exhausted its simulated budget",
@@ -293,12 +305,11 @@ func (m *Meter) sampleLoop(ctx context.Context, sample func() (float64, error)) 
 }
 
 // observe takes one sample, retrying transient failures with capped
-// exponential backoff + jitter charged to the simulated budget.
+// exponential backoff + jitter charged to the simulated budget. The
+// caller checks ctx before the first attempt; observe before each
+// retry.
 func (m *Meter) observe(ctx context.Context, sample func() (float64, error), res *Result) (float64, error) {
 	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return 0, fmt.Errorf("%w: %w", errdefs.ErrMeasureTimeout, err)
-		}
 		t, err := sample()
 		if err == nil {
 			return t, nil
@@ -323,6 +334,9 @@ func (m *Meter) observe(ctx context.Context, sample func() (float64, error), res
 		if m.cfg.Deadline > 0 && res.SimTime > m.cfg.Deadline {
 			return 0, fmt.Errorf("%w: simulated budget %.3gs exhausted during backoff",
 				errdefs.ErrMeasureTimeout, m.cfg.Deadline)
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("%w: %w", errdefs.ErrMeasureTimeout, err)
 		}
 	}
 }

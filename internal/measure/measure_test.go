@@ -149,12 +149,30 @@ func TestSampleDeadlineReturnsPartialResult(t *testing.T) {
 }
 
 func TestSampleContextCancellation(t *testing.T) {
-	m := mustMeter(t, fixedCfg())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := m.Sample(ctx, func() (float64, error) { return 1, nil })
-	if !errors.Is(err, errdefs.ErrMeasureTimeout) {
-		t.Fatalf("err = %v, want ErrMeasureTimeout", err)
+	// The paper's fixed-count protocol checks ctx before every sample
+	// too, and a measurement cancelled part way keeps its samples.
+	for _, cfg := range []Config{fixedCfg(), {Runs: 10}} {
+		for _, after := range []int{0, 3} {
+			m := mustMeter(t, cfg)
+			ctx, cancel := context.WithCancel(context.Background())
+			if after == 0 {
+				cancel()
+			}
+			n := 0
+			res, err := m.Sample(ctx, func() (float64, error) {
+				if n++; n == after {
+					cancel()
+				}
+				return 1, nil
+			})
+			cancel()
+			if !errors.Is(err, errdefs.ErrMeasureTimeout) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%+v, cancel after %d: err = %v, want ErrMeasureTimeout and context.Canceled", cfg, after, err)
+			}
+			if res.Samples != after {
+				t.Errorf("%+v, cancel after %d: kept %d samples", cfg, after, res.Samples)
+			}
+		}
 	}
 }
 
