@@ -50,7 +50,7 @@ func sharedCtx(b *testing.B) *experiments.Context {
 			// Pre-evaluate the ten workloads so report-based
 			// experiments measure extraction, not first-call
 			// evaluation.
-			_, ctxErr = ctx.Reports()
+			_, ctxErr = ctx.Reports(context.Background())
 		}
 	})
 	if ctxErr != nil {
@@ -117,7 +117,7 @@ func BenchmarkFig4ModelError(b *testing.B) {
 }
 
 func BenchmarkTable1Measured(b *testing.B) {
-	rows, err := metricCtx(b).Table1()
+	rows, err := metricCtx(b).Table1(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func BenchmarkTable1Measured(b *testing.B) {
 	c := sharedCtx(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Table1(); err != nil {
+		if _, err := c.Table1(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -136,14 +136,14 @@ func BenchmarkTable1Measured(b *testing.B) {
 }
 
 func BenchmarkFig5AppTransfers(b *testing.B) {
-	_, meanErr, err := metricCtx(b).Fig5()
+	_, meanErr, err := metricCtx(b).Fig5(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := sharedCtx(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Fig5(); err != nil {
+		if _, _, err := c.Fig5(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func BenchmarkFig5AppTransfers(b *testing.B) {
 func BenchmarkFig6ErrorScatter(b *testing.B) {
 	c := sharedCtx(b)
 	for i := 0; i < b.N; i++ {
-		points, err := c.Fig6()
+		points, err := c.Fig6(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func BenchmarkFig6ErrorScatter(b *testing.B) {
 }
 
 func benchSpeedupBySize(b *testing.B, app string) {
-	rows, err := metricCtx(b).SpeedupBySize(app)
+	rows, err := metricCtx(b).SpeedupBySize(context.Background(), app)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func benchSpeedupBySize(b *testing.B, app string) {
 	c := sharedCtx(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.SpeedupBySize(app); err != nil {
+		if _, err := c.SpeedupBySize(context.Background(), app); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,14 +187,14 @@ func BenchmarkFig9HotSpot(b *testing.B) { benchSpeedupBySize(b, "HotSpot") }
 func BenchmarkFig11SRAD(b *testing.B)   { benchSpeedupBySize(b, "SRAD") }
 
 func benchIterSweep(b *testing.B, app, size string, iters []int) {
-	sweep, err := metricCtx(b).IterationSweep(app, size, iters)
+	sweep, err := metricCtx(b).IterationSweep(context.Background(), app, size, iters)
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := sharedCtx(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.IterationSweep(app, size, iters); err != nil {
+		if _, err := c.IterationSweep(context.Background(), app, size, iters); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -214,14 +214,14 @@ func BenchmarkFig12SRADIters(b *testing.B) {
 }
 
 func BenchmarkStassuij(b *testing.B) {
-	res, err := metricCtx(b).Stassuij()
+	res, err := metricCtx(b).Stassuij(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := sharedCtx(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Stassuij(); err != nil {
+		if _, err := c.Stassuij(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,14 +231,14 @@ func BenchmarkStassuij(b *testing.B) {
 }
 
 func BenchmarkTable2SpeedupError(b *testing.B) {
-	res, err := metricCtx(b).Table2()
+	res, err := metricCtx(b).Table2(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := sharedCtx(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Table2(); err != nil {
+		if _, err := c.Table2(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -273,14 +273,14 @@ func BenchmarkFutureWorkPlanning(b *testing.B) {
 // space (the decision-support extension of the paper's conclusion).
 func BenchmarkDecisionMap(b *testing.B) {
 	flops, iters := experiments.DefaultDecisionAxes()
-	res, err := metricCtx(b).DecisionMap(1024, flops, iters)
+	res, err := metricCtx(b).DecisionMap(context.Background(), 1024, flops, iters)
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := sharedCtx(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecisionMap(1024, flops, iters); err != nil {
+		if _, err := c.DecisionMap(context.Background(), 1024, flops, iters); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -294,7 +294,7 @@ func BenchmarkRobustness(b *testing.B) {
 	var res experiments.RobustnessResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.Robustness(experiments.DefaultSeed, 4)
+		res, err = experiments.Robustness(context.Background(), experiments.DefaultSeed, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func BenchmarkEndToEndProjection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.P.Evaluate(w); err != nil {
+		if _, err := c.P.Evaluate(context.Background(), w); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -345,7 +345,7 @@ func BenchmarkEndToEndProjectionTelemetry(b *testing.B) {
 func tracedProjection(p *core.Projector, w core.Workload) error {
 	tr := trace.NewRequest("bench", trace.SpanContext{})
 	ctx, run := trace.StartRun(trace.With(context.Background(), tr), "bench")
-	_, err := p.EvaluateCtx(ctx, w)
+	_, err := p.Evaluate(ctx, w)
 	run.End()
 	tr.Close()
 	tr.Release()
@@ -378,7 +378,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i/block%2 == 0 {
 			start := time.Now()
-			_, err := c.P.Evaluate(w)
+			_, err := c.P.Evaluate(context.Background(), w)
 			bareNs += time.Since(start)
 			bareN++
 			if err != nil {

@@ -193,7 +193,7 @@ func main() {
 		fmt.Printf("  GPU-to-CPU: %s\n\n", model.Dir[pcie.DeviceToHost])
 	}
 
-	rep, err := projector.EvaluateCtx(ctx, w)
+	rep, err := projector.Evaluate(ctx, w)
 	if err != nil {
 		fatal(err)
 	}
@@ -336,7 +336,7 @@ func runProgramFile(ctx context.Context, path string, seed uint64, backendName s
 	if err != nil {
 		fatal(err)
 	}
-	rep, err := projector.EvaluateProgramCtx(ctx, pw.Prog, pw.CPU)
+	rep, err := projector.EvaluateProgram(ctx, pw.Prog, pw.CPU)
 	if err != nil {
 		fatal(err)
 	}
@@ -418,13 +418,13 @@ func findWorkload(app, size string) (core.Workload, error) {
 // renders the cross-target comparison table.
 func runMatrix(ctx context.Context, w core.Workload, seed uint64) (string, error) {
 	targets := target.Default.List()
-	rows, err := sweep.RunCtx(ctx, len(targets), 0, func(i int) (report.MatrixRow, error) {
+	rows, err := sweep.Run(ctx, len(targets), 0, func(i int) (report.MatrixRow, error) {
 		tgt := targets[i]
 		p, err := core.New(ctx, tgt.Machine(seed), core.Options{Memory: tgt.Memory})
 		if err != nil {
 			return report.MatrixRow{}, fmt.Errorf("target %s: %w", tgt.Name, err)
 		}
-		rep, err := p.EvaluateCtx(ctx, w)
+		rep, err := p.Evaluate(ctx, w)
 		if err != nil {
 			return report.MatrixRow{}, fmt.Errorf("target %s: %w", tgt.Name, err)
 		}
@@ -443,14 +443,14 @@ func runMatrix(ctx context.Context, w core.Workload, seed uint64) (string, error
 func runBackendMatrix(ctx context.Context, tgt target.Target, seed uint64) (string, error) {
 	names := backend.Default.Names()
 	wls := bench.MustAll()
-	cols, err := sweep.RunCtx(ctx, len(names), 0, func(i int) ([]core.Report, error) {
+	cols, err := sweep.Run(ctx, len(names), 0, func(i int) ([]core.Report, error) {
 		p, err := core.New(ctx, tgt.Machine(seed), core.Options{Backend: names[i], Memory: tgt.Memory})
 		if err != nil {
 			return nil, fmt.Errorf("backend %s: %w", names[i], err)
 		}
 		reps := make([]core.Report, 0, len(wls))
 		for _, w := range wls {
-			rep, err := p.EvaluateCtx(ctx, w)
+			rep, err := p.Evaluate(ctx, w)
 			if err != nil {
 				return nil, fmt.Errorf("backend %s, workload %s %s: %w", names[i], w.Name, w.DataSize, err)
 			}

@@ -342,7 +342,7 @@ func TestBatchFromParentBestTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := p.Evaluate(wl)
+		rep, err := p.Evaluate(context.Background(), wl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func benchJSON(t *testing.T, workload, size, tgtName string, seed uint64) []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(wl)
+	rep, err := p.Evaluate(context.Background(), wl)
 	if err != nil {
 		t.Fatal(err)
 	}

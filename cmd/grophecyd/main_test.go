@@ -98,7 +98,7 @@ func cliJSON(t *testing.T, src string, seed uint64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestProjectOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w.WithIterations(8))
+	rep, err := p.Evaluate(context.Background(), w.WithIterations(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestProjectTargetOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +647,7 @@ func TestDaemonLegacyGPUFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +751,7 @@ func TestDaemonWithFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := p.Evaluate(w)
+		r, err := p.Evaluate(context.Background(), w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -232,14 +232,14 @@ func newServer(cfg daemonConfig) (*server, error) {
 		// lands, so even a SIGKILL loses at most the flight in progress.
 		// A failed write degrades durability, not serving.
 		poolCfg.OnCalibrated = func(ctx context.Context, e engine.Entry) {
-			if err := st.PutCtx(ctx, storeEntry(e)); err != nil {
+			if err := st.Put(ctx, storeEntry(e)); err != nil {
 				cfg.Logger.Warn("calibration write-through failed", "err", err.Error())
 			}
 		}
 	}
 	s.pool = engine.NewPoolWith(poolCfg)
 	if s.store != nil {
-		res, err := s.store.Load()
+		res, err := s.store.Load(context.Background())
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +328,7 @@ func (s *server) saveSnapshot() error {
 	for i, e := range entries {
 		out[i] = storeEntry(e)
 	}
-	return s.store.SaveAll(out)
+	return s.store.SaveAll(context.Background(), out)
 }
 
 // calibrateProbeAttempts bounds the startup probe's own retry loop;
@@ -657,5 +657,5 @@ func (s *server) project(ctx context.Context, tgt target.Target, backendName str
 	if err != nil {
 		return core.Report{}, err
 	}
-	return p.EvaluateCtx(ctx, wl)
+	return p.Evaluate(ctx, wl)
 }

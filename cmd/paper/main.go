@@ -57,9 +57,8 @@ func main() {
 	}
 
 	// Each table or figure runs under a structural span, and the span's
-	// context flows into the experiment (the *Ctx variants), so
-	// per-kernel spans nest under their section (see
-	// docs/OBSERVABILITY.md).
+	// context is the experiment's first argument, so per-kernel spans
+	// nest under their section (see docs/OBSERVABILITY.md).
 	tctx, err := obs.Setup(context.Background(), os.Stderr, *logFmt, *logLevel)
 	if err != nil {
 		fatal(err)
@@ -86,7 +85,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ctx := experiments.NewContextWithProjector(proj)
+	ec := experiments.NewContextWithProjector(proj)
 	if tgt.Name != target.DefaultName {
 		fmt.Printf("(evaluation on non-paper hardware: %s)\n\n", tgt)
 	}
@@ -96,7 +95,7 @@ func main() {
 
 	if *csvDir != "" {
 		section(tctx, "csv", func(sctx context.Context) error {
-			files, err := ctx.WriteCSVCtx(sctx, *csvDir)
+			files, err := ec.WriteCSV(sctx, *csvDir)
 			if err != nil {
 				return err
 			}
@@ -107,7 +106,7 @@ func main() {
 
 	if *all || *fig == 2 {
 		section(tctx, "fig2", func(_ context.Context) error {
-			rows, err := ctx.Fig2()
+			rows, err := ec.Fig2()
 			if err != nil {
 				return err
 			}
@@ -124,7 +123,7 @@ func main() {
 	}
 	if *all || *fig == 3 {
 		section(tctx, "fig3", func(_ context.Context) error {
-			rows, err := ctx.Fig3()
+			rows, err := ec.Fig3()
 			if err != nil {
 				return err
 			}
@@ -134,7 +133,7 @@ func main() {
 	}
 	if *all || *fig == 4 {
 		section(tctx, "fig4", func(_ context.Context) error {
-			rows, sums, err := ctx.Fig4()
+			rows, sums, err := ec.Fig4()
 			if err != nil {
 				return err
 			}
@@ -151,7 +150,7 @@ func main() {
 	}
 	if *all || *table == 1 {
 		section(tctx, "table1", func(sctx context.Context) error {
-			rows, err := ctx.Table1Ctx(sctx)
+			rows, err := ec.Table1(sctx)
 			if err != nil {
 				return err
 			}
@@ -161,7 +160,7 @@ func main() {
 	}
 	if *all || *fig == 5 {
 		section(tctx, "fig5", func(sctx context.Context) error {
-			points, meanErr, err := ctx.Fig5Ctx(sctx)
+			points, meanErr, err := ec.Fig5(sctx)
 			if err != nil {
 				return err
 			}
@@ -178,7 +177,7 @@ func main() {
 	}
 	if *all || *fig == 6 {
 		section(tctx, "fig6", func(sctx context.Context) error {
-			points, err := ctx.Fig6Ctx(sctx)
+			points, err := ec.Fig6(sctx)
 			if err != nil {
 				return err
 			}
@@ -187,29 +186,29 @@ func main() {
 		})
 	}
 	if *all || *fig == 7 {
-		renderBySize(tctx, ctx, "Figure 7", "CFD")
+		renderBySize(tctx, ec, "Figure 7", "CFD")
 	}
 	if *all || *fig == 8 {
-		renderIters(tctx, ctx, "Figure 8", "CFD", "233K",
+		renderIters(tctx, ec, "Figure 8", "CFD", "233K",
 			[]int{1, 2, 4, 8, 16, 32, 64}, *charts)
 	}
 	if *all || *fig == 9 {
-		renderBySize(tctx, ctx, "Figure 9", "HotSpot")
+		renderBySize(tctx, ec, "Figure 9", "HotSpot")
 	}
 	if *all || *fig == 10 {
-		renderIters(tctx, ctx, "Figure 10", "HotSpot", "1024 x 1024",
+		renderIters(tctx, ec, "Figure 10", "HotSpot", "1024 x 1024",
 			[]int{1, 2, 4, 8, 16, 32, 64, 128, 256}, *charts)
 	}
 	if *all || *fig == 11 {
-		renderBySize(tctx, ctx, "Figure 11", "SRAD")
+		renderBySize(tctx, ec, "Figure 11", "SRAD")
 	}
 	if *all || *fig == 12 {
-		renderIters(tctx, ctx, "Figure 12", "SRAD", "4096 x 4096",
+		renderIters(tctx, ec, "Figure 12", "SRAD", "4096 x 4096",
 			[]int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}, *charts)
 	}
 	if *all || *stassuij {
 		section(tctx, "stassuij", func(sctx context.Context) error {
-			res, err := ctx.StassuijCtx(sctx)
+			res, err := ec.Stassuij(sctx)
 			if err != nil {
 				return err
 			}
@@ -219,7 +218,7 @@ func main() {
 	}
 	if *all || *table == 2 {
 		section(tctx, "table2", func(sctx context.Context) error {
-			res, err := ctx.Table2Ctx(sctx)
+			res, err := ec.Table2(sctx)
 			if err != nil {
 				return err
 			}
@@ -229,7 +228,7 @@ func main() {
 	}
 	if *all || *future {
 		section(tctx, "futurework", func(_ context.Context) error {
-			rows, err := ctx.FutureWork()
+			rows, err := ec.FutureWork()
 			if err != nil {
 				return err
 			}
@@ -242,7 +241,7 @@ func main() {
 			n = 8
 		}
 		section(tctx, "robustness", func(sctx context.Context) error {
-			res, err := experiments.RobustnessCtx(sctx, *seed, n)
+			res, err := experiments.Robustness(sctx, *seed, n)
 			if err != nil {
 				return err
 			}
@@ -253,7 +252,7 @@ func main() {
 	if *all || *decision {
 		section(tctx, "decisionmap", func(sctx context.Context) error {
 			flops, iters := experiments.DefaultDecisionAxes()
-			res, err := ctx.DecisionMapCtx(sctx, 1024, flops, iters)
+			res, err := ec.DecisionMap(sctx, 1024, flops, iters)
 			if err != nil {
 				return err
 			}
@@ -263,7 +262,7 @@ func main() {
 	}
 	if *all || *busgen {
 		section(tctx, "busgen", func(sctx context.Context) error {
-			rows, err := experiments.BusGenerationsCtx(sctx, *seed)
+			rows, err := experiments.BusGenerations(sctx, *seed)
 			if err != nil {
 				return err
 			}
@@ -273,7 +272,7 @@ func main() {
 	}
 	if *all || *pinned {
 		section(tctx, "pinned", func(sctx context.Context) error {
-			rows, err := experiments.PinnedAssumptionCtx(sctx, *seed)
+			rows, err := experiments.PinnedAssumption(sctx, *seed)
 			if err != nil {
 				return err
 			}
@@ -314,9 +313,9 @@ func section(tctx context.Context, name string, fn func(context.Context) error) 
 	}
 }
 
-func renderBySize(tctx context.Context, ctx *experiments.Context, title, app string) {
+func renderBySize(tctx context.Context, ec *experiments.Context, title, app string) {
 	section(tctx, "speedup-by-size "+app, func(sctx context.Context) error {
-		rows, err := ctx.SpeedupBySizeCtx(sctx, app)
+		rows, err := ec.SpeedupBySize(sctx, app)
 		if err != nil {
 			return err
 		}
@@ -325,9 +324,9 @@ func renderBySize(tctx context.Context, ctx *experiments.Context, title, app str
 	})
 }
 
-func renderIters(tctx context.Context, ctx *experiments.Context, title, app, size string, iters []int, charts bool) {
+func renderIters(tctx context.Context, ec *experiments.Context, title, app, size string, iters []int, charts bool) {
 	section(tctx, "iteration-sweep "+app, func(sctx context.Context) error {
-		sweep, err := ctx.IterationSweepCtx(sctx, app, size, iters)
+		sweep, err := ec.IterationSweep(sctx, app, size, iters)
 		if err != nil {
 			return err
 		}

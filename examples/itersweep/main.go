@@ -38,7 +38,7 @@ func main() {
 	}
 
 	iters := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-	reports, err := projector.EvaluateIterations(w, iters)
+	reports, err := projector.EvaluateIterations(context.Background(), w, iters)
 	if err != nil {
 		log.Fatal(err)
 	}

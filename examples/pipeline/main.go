@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := projector.EvaluateProgram(prog, baseline)
+	rep, err := projector.EvaluateProgram(context.Background(), prog, baseline)
 	if err != nil {
 		log.Fatal(err)
 	}

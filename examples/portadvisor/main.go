@@ -63,7 +63,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			rep, err := projector.Evaluate(w)
+			rep, err := projector.Evaluate(context.Background(), w)
 			if err != nil {
 				log.Fatal(err)
 			}

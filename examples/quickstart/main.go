@@ -86,7 +86,7 @@ func main() {
 	fmt.Printf("PCIe model: %s\n\n", projector.BusModel().Dir[0])
 
 	// Step 3: evaluate.
-	rep, err := projector.Evaluate(workload)
+	rep, err := projector.Evaluate(context.Background(), workload)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func main() {
 		w.Name, w.DataSize, w.Seq.Iterations, machine.GPUArch.Name)
 
 	// Baseline projection.
-	rep, err := projector.Evaluate(w)
+	rep, err := projector.Evaluate(context.Background(), w)
 	if err != nil {
 		log.Fatal(err)
 	}

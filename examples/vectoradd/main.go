@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("\n%12s %14s %14s %12s %12s %12s\n",
 		"elements", "GPU kernel", "PCIe xfer", "GPU total", "CPU total", "speedup")
 	for _, n := range []int64{1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24} {
-		rep, err := projector.Evaluate(vecAdd(n))
+		rep, err := projector.Evaluate(context.Background(), vecAdd(n))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func main() {
 			rep.MeasuredSpeedup())
 	}
 
-	rep, err := projector.Evaluate(vecAdd(1 << 24))
+	rep, err := projector.Evaluate(context.Background(), vecAdd(1<<24))
 	if err != nil {
 		log.Fatal(err)
 	}

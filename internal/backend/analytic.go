@@ -84,7 +84,7 @@ func analyticInstance(bm xfermodel.BusModel) Instance {
 type analyticKernels struct{}
 
 func (analyticKernels) ProjectKernel(ctx context.Context, k *skeleton.Kernel, arch gpu.Arch) (transform.Variant, perfmodel.Projection, error) {
-	return transform.BestCtx(ctx, k, arch)
+	return transform.Best(ctx, k, arch)
 }
 
 // analyticTransfers predicts with the calibrated global line.

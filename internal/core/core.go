@@ -21,6 +21,10 @@
 //     iteration) + collective transfer time (once, independent of the
 //     iteration count);
 //   - GPU speedup = measured CPU time / total GPU time.
+//
+// Each operation has one entry point, and it takes a context first
+// (New, Projector.Evaluate, EvaluateIterations, EvaluateProgram): the
+// context carries the tracer, the logger and cancellation.
 package core
 
 import (
@@ -434,13 +438,8 @@ func degradable(ctx context.Context, err error) bool {
 // Evaluate runs the full GROPHECY++ pipeline on one workload:
 // transformation exploration and kernel projection, data usage
 // analysis, transfer projection — and the corresponding measurements
-// on the simulated hardware.
-func (p *Projector) Evaluate(w Workload) (Report, error) {
-	return p.EvaluateCtx(context.Background(), w)
-}
-
-// EvaluateCtx is Evaluate with cancellation, which every measurement
-// checks before each sample. A resilient projector additionally
+// on the simulated hardware. Every measurement checks ctx before
+// each sample. A resilient projector additionally
 // degrades gracefully on absorbed failures and records every fallback
 // in Report.Degradations.
 //
@@ -454,7 +453,7 @@ func (p *Projector) Evaluate(w Workload) (Report, error) {
 // Analysis, exploration, and measurement appear as zero-duration
 // child spans whose attributes carry the interesting counts
 // (candidates, samples, retries, simulated measurement cost).
-func (p *Projector) EvaluateCtx(ctx context.Context, w Workload) (Report, error) {
+func (p *Projector) Evaluate(ctx context.Context, w Workload) (Report, error) {
 	return DefaultEngine().Evaluate(ctx, p, w)
 }
 
@@ -560,18 +559,13 @@ func degrade(ctx context.Context, kind string, name any, res measure.Result, err
 
 // EvaluateIterations evaluates the workload at several iteration
 // counts, reusing one projector (for the iteration-sweep figures).
-func (p *Projector) EvaluateIterations(w Workload, iterations []int) ([]Report, error) {
-	return p.EvaluateIterationsCtx(context.Background(), w, iterations)
-}
-
-// EvaluateIterationsCtx is EvaluateIterations with cancellation.
-func (p *Projector) EvaluateIterationsCtx(ctx context.Context, w Workload, iterations []int) ([]Report, error) {
+func (p *Projector) EvaluateIterations(ctx context.Context, w Workload, iterations []int) ([]Report, error) {
 	reports := make([]Report, 0, len(iterations))
 	for _, n := range iterations {
 		if n < 1 {
 			return nil, errdefs.Invalidf("core: iteration count %d below 1", n)
 		}
-		rep, err := p.EvaluateCtx(ctx, w.WithIterations(n))
+		rep, err := p.Evaluate(ctx, w.WithIterations(n))
 		if err != nil {
 			return nil, err
 		}

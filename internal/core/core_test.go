@@ -67,7 +67,7 @@ func TestNewCalibrates(t *testing.T) {
 
 func TestEvaluateBasicReport(t *testing.T) {
 	p := newProjector(t)
-	rep, err := p.Evaluate(testWorkload(512, 1))
+	rep, err := p.Evaluate(context.Background(), testWorkload(512, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestTransferPredictionAccurate(t *testing.T) {
 	// The transfer model should predict the simulated bus within a
 	// few percent for MB-scale transfers (the paper's 8% average).
 	p := newProjector(t)
-	rep, err := p.Evaluate(testWorkload(1024, 1))
+	rep, err := p.Evaluate(context.Background(), testWorkload(1024, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestTransferPredictionAccurate(t *testing.T) {
 
 func TestKernelPredictionReasonable(t *testing.T) {
 	p := newProjector(t)
-	rep, err := p.Evaluate(testWorkload(1024, 1))
+	rep, err := p.Evaluate(context.Background(), testWorkload(1024, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestKernelPredictionReasonable(t *testing.T) {
 
 func TestSpeedupIdentities(t *testing.T) {
 	p := newProjector(t)
-	rep, err := p.Evaluate(testWorkload(512, 1))
+	rep, err := p.Evaluate(context.Background(), testWorkload(512, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFullPredictionBeatsKernelOnly(t *testing.T) {
 	// The paper's headline: adding transfer modeling slashes the
 	// speedup prediction error for transfer-dominated workloads.
 	p := newProjector(t)
-	rep, err := p.Evaluate(testWorkload(1024, 1))
+	rep, err := p.Evaluate(context.Background(), testWorkload(1024, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestFullPredictionBeatsKernelOnly(t *testing.T) {
 
 func TestIterationScaling(t *testing.T) {
 	p := newProjector(t)
-	one, err := p.Evaluate(testWorkload(512, 1))
+	one, err := p.Evaluate(context.Background(), testWorkload(512, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten, err := p.Evaluate(testWorkload(512, 10))
+	ten, err := p.Evaluate(context.Background(), testWorkload(512, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPredictionsConvergeWithIterations(t *testing.T) {
 	// iterations grow.
 	p := newProjector(t)
 	gap := func(iters int) float64 {
-		rep, err := p.Evaluate(testWorkload(512, iters))
+		rep, err := p.Evaluate(context.Background(), testWorkload(512, iters))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestPredictionsConvergeWithIterations(t *testing.T) {
 
 func TestLimitSpeedups(t *testing.T) {
 	p := newProjector(t)
-	rep, err := p.Evaluate(testWorkload(512, 4))
+	rep, err := p.Evaluate(context.Background(), testWorkload(512, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestLimitSpeedups(t *testing.T) {
 
 func TestEvaluateIterations(t *testing.T) {
 	p := newProjector(t)
-	reps, err := p.EvaluateIterations(testWorkload(256, 1), []int{1, 4, 16})
+	reps, err := p.EvaluateIterations(context.Background(), testWorkload(256, 1), []int{1, 4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,19 +229,19 @@ func TestEvaluateIterations(t *testing.T) {
 			t.Errorf("report %d iterations = %d, want %d", i, reps[i].Iterations, want)
 		}
 	}
-	if _, err := p.EvaluateIterations(testWorkload(256, 1), []int{0}); err == nil {
+	if _, err := p.EvaluateIterations(context.Background(), testWorkload(256, 1), []int{0}); err == nil {
 		t.Error("zero iteration count accepted")
 	}
 }
 
 func TestEvaluateRejectsInvalidWorkload(t *testing.T) {
 	p := newProjector(t)
-	if _, err := p.Evaluate(Workload{}); err == nil {
+	if _, err := p.Evaluate(context.Background(), Workload{}); err == nil {
 		t.Error("empty workload accepted")
 	}
 	w := testWorkload(64, 1)
 	w.CPU = cpumodel.Workload{}
-	if _, err := p.Evaluate(w); err == nil {
+	if _, err := p.Evaluate(context.Background(), w); err == nil {
 		t.Error("workload with invalid CPU side accepted")
 	}
 }
@@ -257,11 +257,11 @@ func TestWorkloadWithIterationsDoesNotMutate(t *testing.T) {
 func TestDeterministicEvaluation(t *testing.T) {
 	p1 := newProjector(t)
 	p2 := newProjector(t)
-	r1, err := p1.Evaluate(testWorkload(256, 1))
+	r1, err := p1.Evaluate(context.Background(), testWorkload(256, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := p2.Evaluate(testWorkload(256, 1))
+	r2, err := p2.Evaluate(context.Background(), testWorkload(256, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestDeterministicEvaluation(t *testing.T) {
 
 func TestPlanRecordedInReport(t *testing.T) {
 	p := newProjector(t)
-	rep, err := p.Evaluate(testWorkload(256, 1))
+	rep, err := p.Evaluate(context.Background(), testWorkload(256, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func DefaultStages() []Stage {
 	return []Stage{analyzeStage{}, kernelStage{}, transferStage{}, cpuStage{}, assembleStage{}}
 }
 
-// defaultEngine is shared by every Projector.EvaluateCtx call; it is
+// defaultEngine is shared by every Projector.Evaluate call; it is
 // stateless (all per-evaluation state lives in EvalState).
 var defaultEngine = func() *Engine {
 	e, err := NewEngine(DefaultStages()...)
@@ -100,7 +100,7 @@ var defaultEngine = func() *Engine {
 	return e
 }()
 
-// DefaultEngine returns the engine EvaluateCtx uses: the five paper
+// DefaultEngine returns the engine Evaluate uses: the five paper
 // stages in order.
 func DefaultEngine() *Engine { return defaultEngine }
 

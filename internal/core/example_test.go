@@ -43,7 +43,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	rep, err := projector.Evaluate(w)
+	rep, err := projector.Evaluate(context.Background(), w)
 	if err != nil {
 		panic(err)
 	}

@@ -30,7 +30,7 @@ func TestCrossArchitectureProjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := p.Evaluate(w)
+		rep, err := p.Evaluate(context.Background(), w)
 		if err != nil {
 			t.Fatalf("%s: %v", arch.Name, err)
 		}
@@ -84,7 +84,7 @@ func randomWorkload(nRaw uint16, flops, loads uint8, irregular bool) Workload {
 func TestQuickPipelineInvariants(t *testing.T) {
 	p := newProjector(t)
 	prop := func(nRaw uint16, flops, loads uint8, irregular bool) bool {
-		rep, err := p.Evaluate(randomWorkload(nRaw, flops, loads, irregular))
+		rep, err := p.Evaluate(context.Background(), randomWorkload(nRaw, flops, loads, irregular))
 		if err != nil {
 			return false
 		}
@@ -131,11 +131,11 @@ func TestSeededMachinesAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := p1.Evaluate(w)
+	r1, err := p1.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := p2.Evaluate(w)
+	r2, err := p2.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,12 +29,12 @@ func TestOnePhaseProgramLaw(t *testing.T) {
 	for _, bk := range backend.Default.Names() {
 		for _, w := range bench.MustAll() {
 			t.Run(bk+"/"+w.Name+" "+w.DataSize, func(t *testing.T) {
-				want, err := fresh(t, bk).Evaluate(w)
+				want, err := fresh(t, bk).Evaluate(context.Background(), w)
 				if err != nil {
 					t.Fatal(err)
 				}
 				prog := &program.Program{Name: w.Name, Phases: []program.Phase{{Seq: w.Seq, Hints: w.Hints}}}
-				got, err := fresh(t, bk).EvaluateProgram(prog, w.CPU)
+				got, err := fresh(t, bk).EvaluateProgram(context.Background(), prog, w.CPU)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -83,17 +83,12 @@ func (r ProgramReport) ResidencySavings() float64 {
 }
 
 // EvaluateProgram runs the full pipeline over a multi-phase program.
-// baseline describes one run of the whole program on the CPU.
-func (p *Projector) EvaluateProgram(prog *program.Program, baseline cpumodel.Workload) (ProgramReport, error) {
-	return p.EvaluateProgramCtx(context.Background(), prog, baseline)
-}
-
-// EvaluateProgramCtx is EvaluateProgram with cancellation. Each phase
+// baseline describes one run of the whole program on the CPU. Each phase
 // runs the engine's kernel and transfer code (kernelResults,
 // transferResults) under a "phase N" span, and the baseline runs the
 // cpu stage's code, so programs and workloads share one measurement
 // protocol, backend and degradation ladder.
-func (p *Projector) EvaluateProgramCtx(ctx context.Context, prog *program.Program, baseline cpumodel.Workload) (ProgramReport, error) {
+func (p *Projector) EvaluateProgram(ctx context.Context, prog *program.Program, baseline cpumodel.Workload) (ProgramReport, error) {
 	if err := prog.Validate(); err != nil {
 		return ProgramReport{}, err
 	}

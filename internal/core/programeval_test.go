@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"grophecy/internal/cpumodel"
@@ -41,7 +42,7 @@ func chainProgram(nPhases int, n int64) (*program.Program, cpumodel.Workload) {
 func TestEvaluateProgramBasics(t *testing.T) {
 	p := newProjector(t)
 	prog, baseline := chainProgram(4, 512)
-	rep, err := p.EvaluateProgram(prog, baseline)
+	rep, err := p.EvaluateProgram(context.Background(), prog, baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestEvaluateProgramResidencySavings(t *testing.T) {
 	// way; residency moves it once each way -> 75% transfer savings.
 	p := newProjector(t)
 	prog, baseline := chainProgram(4, 512)
-	rep, err := p.EvaluateProgram(prog, baseline)
+	rep, err := p.EvaluateProgram(context.Background(), prog, baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestEvaluateProgramSpeedupBenefitsFromResidency(t *testing.T) {
 	// independent single-phase evaluations would achieve.
 	p := newProjector(t)
 	prog, baseline := chainProgram(4, 512)
-	rep, err := p.EvaluateProgram(prog, baseline)
+	rep, err := p.EvaluateProgram(context.Background(), prog, baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +108,11 @@ func TestEvaluateProgramSpeedupBenefitsFromResidency(t *testing.T) {
 
 func TestEvaluateProgramRejectsBadInputs(t *testing.T) {
 	p := newProjector(t)
-	if _, err := p.EvaluateProgram(&program.Program{}, cpumodel.Workload{}); err == nil {
+	if _, err := p.EvaluateProgram(context.Background(), &program.Program{}, cpumodel.Workload{}); err == nil {
 		t.Error("invalid program accepted")
 	}
 	prog, _ := chainProgram(2, 64)
-	if _, err := p.EvaluateProgram(prog, cpumodel.Workload{}); err == nil {
+	if _, err := p.EvaluateProgram(context.Background(), prog, cpumodel.Workload{}); err == nil {
 		t.Error("invalid baseline accepted")
 	}
 }

@@ -39,7 +39,7 @@ func TestConcurrentEvaluationsAreIdentical(t *testing.T) {
 					errs[g*rounds+r] = err
 					return
 				}
-				rep, err := p.Evaluate(w)
+				rep, err := p.Evaluate(context.Background(), w)
 				if err != nil {
 					errs[g*rounds+r] = err
 					return
@@ -89,7 +89,7 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			rep, err := p.Evaluate(testWorkload(n, 2))
+			rep, err := p.Evaluate(context.Background(), testWorkload(n, 2))
 			if err != nil {
 				t.Error(err)
 				return
@@ -113,7 +113,7 @@ func evaluateOnce(t *testing.T, w Workload) Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}

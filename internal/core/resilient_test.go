@@ -58,7 +58,7 @@ func resilientReports(t *testing.T, plan fault.Plan) []byte {
 	}
 	var reports []core.Report
 	for _, w := range benchWorkloads(t) {
-		rep, err := p.EvaluateCtx(ctx, w)
+		rep, err := p.Evaluate(ctx, w)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -102,11 +102,11 @@ func TestResilientSpeedupWithinMarginOfClean(t *testing.T) {
 	// 30% of the clean run's on every workload.
 	const margin = 0.30
 	for _, w := range benchWorkloads(t) {
-		cr, err := clean.Evaluate(w)
+		cr, err := clean.Evaluate(context.Background(), w)
 		if err != nil {
 			t.Fatalf("%s clean: %v", w.Name, err)
 		}
-		fr, err := faulty.EvaluateCtx(ctx, w)
+		fr, err := faulty.Evaluate(ctx, w)
 		if err != nil {
 			t.Fatalf("%s faulty: %v", w.Name, err)
 		}
@@ -132,7 +132,7 @@ func TestResilientDegradationsReported(t *testing.T) {
 	}
 	sawDegradation := false
 	for _, w := range benchWorkloads(t) {
-		rep, err := p.EvaluateCtx(ctx, w)
+		rep, err := p.Evaluate(ctx, w)
 		if err != nil {
 			t.Fatalf("%s: pipeline failed instead of degrading: %v", w.Name, err)
 		}
@@ -156,7 +156,7 @@ func TestResilientEvaluateCancelled(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	w := benchWorkloads(t)[0]
-	if _, err := p.EvaluateCtx(cancelled, w); err == nil {
+	if _, err := p.Evaluate(cancelled, w); err == nil {
 		t.Fatal("cancelled evaluation succeeded")
 	}
 }
@@ -189,11 +189,11 @@ func TestRestoreMatchesLiveUnderFaults(t *testing.T) {
 			if _, err := core.Restore(core.NewMachine(machineSeed), live.Calibration()); err == nil {
 				t.Error("armed calibration restored onto a clean machine")
 			}
-			a, err := live.EvaluateCtx(ctx, w)
+			a, err := live.Evaluate(ctx, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := restored.EvaluateCtx(ctx, w)
+			b, err := restored.Evaluate(ctx, w)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,7 +43,7 @@ func freshJSON(t *testing.T, tgt target.Target, w core.Workload) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func pooledJSON(t *testing.T, pool *Pool, tgt target.Target, w core.Workload) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPoolSingleflight(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			rep, err := p.Evaluate(w)
+			rep, err := p.Evaluate(context.Background(), w)
 			if err != nil {
 				t.Error(err)
 				return
@@ -629,7 +629,7 @@ func TestArmedPoolMatchesFreshArmedMachine(t *testing.T) {
 	pool := NewPoolWith(Config{Faults: plan, OnCalibrated: func(context.Context, Entry) { written++ }})
 	eval := func(p *core.Projector) []byte {
 		t.Helper()
-		rep, err := p.Evaluate(w)
+		rep, err := p.Evaluate(context.Background(), w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,13 +28,8 @@ type BusGenRow struct {
 }
 
 // BusGenerations evaluates every workload on each bus generation.
-func BusGenerations(seed uint64) ([]BusGenRow, error) {
-	return BusGenerationsCtx(context.Background(), seed)
-}
-
-// BusGenerationsCtx is BusGenerations under a context: per-kernel
-// wall-clock spans attach to the caller's trace.
-func BusGenerationsCtx(ctx context.Context, seed uint64) ([]BusGenRow, error) {
+// Per-kernel wall-clock spans attach to the trace ctx carries.
+func BusGenerations(ctx context.Context, seed uint64) ([]BusGenRow, error) {
 	ws, err := bench.All()
 	if err != nil {
 		return nil, err
@@ -55,7 +50,7 @@ func BusGenerationsCtx(ctx context.Context, seed uint64) ([]BusGenRow, error) {
 			return nil, fmt.Errorf("experiments: %s: %w", gen.Name, err)
 		}
 		for i, w := range ws {
-			rep, err := p.EvaluateCtx(ctx, w)
+			rep, err := p.Evaluate(ctx, w)
 			if err != nil {
 				return nil, err
 			}

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestBusGenerations(t *testing.T) {
-	rows, err := BusGenerations(DefaultSeed)
+	rows, err := BusGenerations(context.Background(), DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestBusGenerations(t *testing.T) {
 }
 
 func TestRenderBusGenerations(t *testing.T) {
-	rows, err := BusGenerations(DefaultSeed)
+	rows, err := BusGenerations(context.Background(), DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

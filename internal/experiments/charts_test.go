@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -36,7 +37,7 @@ func TestChartFig4(t *testing.T) {
 }
 
 func TestChartFig5(t *testing.T) {
-	points, _, err := getCtx(t).Fig5()
+	points, _, err := getCtx(t).Fig5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestChartFig5(t *testing.T) {
 }
 
 func TestChartIterSweep(t *testing.T) {
-	sweep, err := getCtx(t).IterationSweep("HotSpot", "1024 x 1024", []int{1, 4, 16, 64})
+	sweep, err := getCtx(t).IterationSweep(context.Background(), "HotSpot", "1024 x 1024", []int{1, 4, 16, 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,15 +15,10 @@ import (
 
 // WriteCSV regenerates every experiment and writes one CSV per
 // table/figure into dir (created if missing). It returns the list of
-// files written.
-func (c *Context) WriteCSV(dir string) ([]string, error) {
-	return c.WriteCSVCtx(context.Background(), dir)
-}
-
-// WriteCSVCtx is WriteCSV under a context: every regenerated
-// experiment evaluates through the Ctx variants, so the caller's
-// wall-clock trace sees the per-kernel spans of the full export.
-func (c *Context) WriteCSVCtx(ctx context.Context, dir string) ([]string, error) {
+// files written. Every regenerated experiment evaluates under ctx, so
+// the caller's wall-clock trace sees the per-kernel spans of the full
+// export.
+func (c *Context) WriteCSV(ctx context.Context, dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -86,7 +81,7 @@ func (c *Context) WriteCSVCtx(ctx context.Context, dir string) ([]string, error)
 	}
 
 	// Table I.
-	t1, err := c.Table1Ctx(ctx)
+	t1, err := c.Table1(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +99,7 @@ func (c *Context) WriteCSVCtx(ctx context.Context, dir string) ([]string, error)
 	}
 
 	// Figure 5: per-transfer scatter.
-	p5, _, err := c.Fig5Ctx(ctx)
+	p5, _, err := c.Fig5(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +115,7 @@ func (c *Context) WriteCSVCtx(ctx context.Context, dir string) ([]string, error)
 	}
 
 	// Figure 6: error pairs.
-	p6, err := c.Fig6Ctx(ctx)
+	p6, err := c.Fig6(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +130,7 @@ func (c *Context) WriteCSVCtx(ctx context.Context, dir string) ([]string, error)
 
 	// Figures 7/9/11: speedup by size, one file per app.
 	for _, app := range []string{"CFD", "HotSpot", "SRAD"} {
-		rows, err := c.SpeedupBySizeCtx(ctx, app)
+		rows, err := c.SpeedupBySize(ctx, app)
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +154,7 @@ func (c *Context) WriteCSVCtx(ctx context.Context, dir string) ([]string, error)
 		{"HotSpot", "1024 x 1024", "fig10_hotspot_iters.csv", []int{1, 2, 4, 8, 16, 32, 64, 128, 256}},
 		{"SRAD", "4096 x 4096", "fig12_srad_iters.csv", []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}},
 	} {
-		sweep, err := c.IterationSweepCtx(ctx, sw.app, sw.size, sw.iters)
+		sweep, err := c.IterationSweep(ctx, sw.app, sw.size, sw.iters)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +171,7 @@ func (c *Context) WriteCSVCtx(ctx context.Context, dir string) ([]string, error)
 	}
 
 	// Table II.
-	t2, err := c.Table2Ctx(ctx)
+	t2, err := c.Table2(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/csv"
 	"os"
 	"path/filepath"
@@ -10,7 +11,7 @@ import (
 
 func TestWriteCSV(t *testing.T) {
 	dir := t.TempDir()
-	files, err := getCtx(t).WriteCSV(dir)
+	files, err := getCtx(t).WriteCSV(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestWriteCSVBadDir(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := getCtx(t).WriteCSV(filepath.Join(tmp, "sub")); err == nil {
+	if _, err := getCtx(t).WriteCSV(context.Background(), filepath.Join(tmp, "sub")); err == nil {
 		t.Error("writing under a file accepted")
 	}
 }

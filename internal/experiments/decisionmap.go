@@ -90,14 +90,9 @@ func streamWorkload(n int64, flopsPerElem, iterations int) core.Workload {
 }
 
 // DecisionMap sweeps the synthetic workload over the two axes on one
-// machine. gridN fixes the data size (gridN x gridN float32).
-func (c *Context) DecisionMap(gridN int64, flopsAxis, iterAxis []int) (DecisionMapResult, error) {
-	return c.DecisionMapCtx(context.Background(), gridN, flopsAxis, iterAxis)
-}
-
-// DecisionMapCtx is DecisionMap under a context: every sweep cell's
-// kernel spans attach to the caller's wall-clock trace.
-func (c *Context) DecisionMapCtx(ctx context.Context, gridN int64, flopsAxis, iterAxis []int) (DecisionMapResult, error) {
+// machine. gridN fixes the data size (gridN x gridN float32). Every
+// sweep cell's kernel spans attach to the caller's wall-clock trace.
+func (c *Context) DecisionMap(ctx context.Context, gridN int64, flopsAxis, iterAxis []int) (DecisionMapResult, error) {
 	if gridN <= 0 {
 		return DecisionMapResult{}, fmt.Errorf("experiments: non-positive grid size")
 	}
@@ -111,7 +106,7 @@ func (c *Context) DecisionMapCtx(ctx context.Context, gridN int64, flopsAxis, it
 			if f <= 0 || it <= 0 {
 				return DecisionMapResult{}, fmt.Errorf("experiments: non-positive sweep value")
 			}
-			rep, err := c.P.EvaluateCtx(ctx, streamWorkload(gridN, f, it))
+			rep, err := c.P.Evaluate(ctx, streamWorkload(gridN, f, it))
 			if err != nil {
 				return DecisionMapResult{}, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestDecisionMapShape(t *testing.T) {
 	ctx := getCtx(t)
 	flops := []int{1, 8, 64, 512}
 	iters := []int{1, 8, 64}
-	res, err := ctx.DecisionMap(1024, flops, iters)
+	res, err := ctx.DecisionMap(context.Background(), 1024, flops, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,23 +66,23 @@ func TestDecisionMapShape(t *testing.T) {
 
 func TestDecisionMapRejectsBadAxes(t *testing.T) {
 	ctx := getCtx(t)
-	if _, err := ctx.DecisionMap(0, []int{1}, []int{1}); err == nil {
+	if _, err := ctx.DecisionMap(context.Background(), 0, []int{1}, []int{1}); err == nil {
 		t.Error("zero grid accepted")
 	}
-	if _, err := ctx.DecisionMap(64, nil, []int{1}); err == nil {
+	if _, err := ctx.DecisionMap(context.Background(), 64, nil, []int{1}); err == nil {
 		t.Error("empty axis accepted")
 	}
-	if _, err := ctx.DecisionMap(64, []int{0}, []int{1}); err == nil {
+	if _, err := ctx.DecisionMap(context.Background(), 64, []int{0}, []int{1}); err == nil {
 		t.Error("zero flops accepted")
 	}
-	if _, err := ctx.DecisionMap(64, []int{1}, []int{0}); err == nil {
+	if _, err := ctx.DecisionMap(context.Background(), 64, []int{1}, []int{0}); err == nil {
 		t.Error("zero iterations accepted")
 	}
 }
 
 func TestRenderDecisionMap(t *testing.T) {
 	ctx := getCtx(t)
-	res, err := ctx.DecisionMap(256, []int{1, 64}, []int{1, 16})
+	res, err := ctx.DecisionMap(context.Background(), 256, []int{1, 64}, []int{1, 16})
 	if err != nil {
 		t.Fatal(err)
 	}

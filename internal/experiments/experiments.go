@@ -6,6 +6,9 @@
 // type has a Render* companion that prints the same rows/series the
 // paper reports, as aligned text. The per-experiment index lives in
 // DESIGN.md §4; the paper-vs-measured record lives in EXPERIMENTS.md.
+// Every experiment that evaluates workloads takes a context first, so
+// its per-kernel spans land on the caller's trace and cancellation
+// stops it.
 package experiments
 
 import (
@@ -39,15 +42,7 @@ type Context struct {
 // NewContext builds a machine from the seed and calibrates the
 // transfer model on it.
 func NewContext(seed uint64) (*Context, error) {
-	return NewContextOn(core.NewMachine(seed))
-}
-
-// NewContextOn calibrates the transfer model on an already-built
-// machine, so callers can point the evaluation at any hardware
-// target (`paper -target` resolves the name and passes the target's
-// machine here).
-func NewContextOn(m *core.Machine) (*Context, error) {
-	p, err := core.New(context.Background(), m, core.Options{})
+	p, err := core.New(context.Background(), core.NewMachine(seed), core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -63,16 +58,11 @@ func NewContextWithProjector(p *core.Projector) *Context {
 }
 
 // Reports evaluates (and caches) every benchmark workload at its
-// default iteration count.
-func (c *Context) Reports() ([]core.Report, error) {
-	return c.ReportsCtx(context.Background())
-}
-
-// ReportsCtx is Reports under a context: each cache-missing workload
-// is evaluated with EvaluateCtx, so per-kernel wall-clock spans land
-// on the caller's trace and cancellation stops the suite between
-// workloads.
-func (c *Context) ReportsCtx(ctx context.Context) ([]core.Report, error) {
+// default iteration count. Each cache-missing workload is evaluated
+// under ctx, so per-kernel wall-clock spans land on the caller's trace
+// and cancellation stops the suite between workloads. The experiments
+// built on Reports inherit both.
+func (c *Context) Reports(ctx context.Context) ([]core.Report, error) {
 	ws, err := bench.All()
 	if err != nil {
 		return nil, err
@@ -82,7 +72,7 @@ func (c *Context) ReportsCtx(ctx context.Context) ([]core.Report, error) {
 		key := w.Name + "/" + w.DataSize
 		rep, ok := c.reports[key]
 		if !ok {
-			rep, err = c.P.EvaluateCtx(ctx, w)
+			rep, err = c.P.Evaluate(ctx, w)
 			if err != nil {
 				return nil, err
 			}
@@ -289,13 +279,8 @@ type Table1Row struct {
 }
 
 // Table1 evaluates every workload and extracts the measured columns.
-func (c *Context) Table1() ([]Table1Row, error) {
-	return c.Table1Ctx(context.Background())
-}
-
-// Table1Ctx is Table1 under a context (see ReportsCtx).
-func (c *Context) Table1Ctx(ctx context.Context) ([]Table1Row, error) {
-	reports, err := c.ReportsCtx(ctx)
+func (c *Context) Table1(ctx context.Context) ([]Table1Row, error) {
+	reports, err := c.Reports(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -343,13 +328,8 @@ type Fig5Point struct {
 
 // Fig5 collects every per-transfer comparison, plus the overall mean
 // error the paper quotes (7.6% across all application transfers).
-func (c *Context) Fig5() ([]Fig5Point, float64, error) {
-	return c.Fig5Ctx(context.Background())
-}
-
-// Fig5Ctx is Fig5 under a context (see ReportsCtx).
-func (c *Context) Fig5Ctx(ctx context.Context) ([]Fig5Point, float64, error) {
-	reports, err := c.ReportsCtx(ctx)
+func (c *Context) Fig5(ctx context.Context) ([]Fig5Point, float64, error) {
+	reports, err := c.Reports(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -397,13 +377,8 @@ type Fig6Point struct {
 }
 
 // Fig6 aggregates per-workload error magnitudes.
-func (c *Context) Fig6() ([]Fig6Point, error) {
-	return c.Fig6Ctx(context.Background())
-}
-
-// Fig6Ctx is Fig6 under a context (see ReportsCtx).
-func (c *Context) Fig6Ctx(ctx context.Context) ([]Fig6Point, error) {
-	reports, err := c.ReportsCtx(ctx)
+func (c *Context) Fig6(ctx context.Context) ([]Fig6Point, error) {
+	reports, err := c.Reports(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -460,13 +435,8 @@ func speedupRow(r core.Report) SpeedupRow {
 
 // SpeedupBySize produces the Figure 7/9/11 series for one application
 // name ("CFD", "HotSpot", "SRAD") or the single Stassuij point.
-func (c *Context) SpeedupBySize(app string) ([]SpeedupRow, error) {
-	return c.SpeedupBySizeCtx(context.Background(), app)
-}
-
-// SpeedupBySizeCtx is SpeedupBySize under a context (see ReportsCtx).
-func (c *Context) SpeedupBySizeCtx(ctx context.Context, app string) ([]SpeedupRow, error) {
-	reports, err := c.ReportsCtx(ctx)
+func (c *Context) SpeedupBySize(ctx context.Context, app string) ([]SpeedupRow, error) {
+	reports, err := c.Reports(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -518,20 +488,15 @@ type IterSweep struct {
 }
 
 // IterationSweep runs the Figure 8/10/12 protocol: the named workload
-// across the given iteration counts.
-func (c *Context) IterationSweep(app, size string, iterations []int) (IterSweep, error) {
-	return c.IterationSweepCtx(context.Background(), app, size, iterations)
-}
-
-// IterationSweepCtx is IterationSweep under a context: every
-// per-iteration evaluation runs with EvaluateIterationsCtx, so its
-// kernel spans attach to the caller's wall-clock trace.
-func (c *Context) IterationSweepCtx(ctx context.Context, app, size string, iterations []int) (IterSweep, error) {
+// across the given iteration counts. Every per-iteration evaluation
+// runs under ctx, so its kernel spans attach to the caller's
+// wall-clock trace.
+func (c *Context) IterationSweep(ctx context.Context, app, size string, iterations []int) (IterSweep, error) {
 	w, err := findWorkload(app, size)
 	if err != nil {
 		return IterSweep{}, err
 	}
-	reports, err := c.P.EvaluateIterationsCtx(ctx, w, iterations)
+	reports, err := c.P.EvaluateIterations(ctx, w, iterations)
 	if err != nil {
 		return IterSweep{}, err
 	}
@@ -603,13 +568,8 @@ type Table2Result struct {
 }
 
 // Table2 computes the speedup-error table over all workloads.
-func (c *Context) Table2() (Table2Result, error) {
-	return c.Table2Ctx(context.Background())
-}
-
-// Table2Ctx is Table2 under a context (see ReportsCtx).
-func (c *Context) Table2Ctx(ctx context.Context) (Table2Result, error) {
-	reports, err := c.ReportsCtx(ctx)
+func (c *Context) Table2(ctx context.Context) (Table2Result, error) {
+	reports, err := c.Reports(ctx)
 	if err != nil {
 		return Table2Result{}, err
 	}
@@ -704,13 +664,8 @@ type StassuijResult struct {
 }
 
 // Stassuij evaluates the flip experiment.
-func (c *Context) Stassuij() (StassuijResult, error) {
-	return c.StassuijCtx(context.Background())
-}
-
-// StassuijCtx is Stassuij under a context (see ReportsCtx).
-func (c *Context) StassuijCtx(ctx context.Context) (StassuijResult, error) {
-	reports, err := c.ReportsCtx(ctx)
+func (c *Context) Stassuij(ctx context.Context) (StassuijResult, error) {
+	reports, err := c.Reports(ctx)
 	if err != nil {
 		return StassuijResult{}, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestFig4ErrorsMatchPaperRegime(t *testing.T) {
 }
 
 func TestTable1ShapeMatchesPaper(t *testing.T) {
-	rows, err := getCtx(t).Table1()
+	rows, err := getCtx(t).Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestTable1ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestTable1TransferSizes(t *testing.T) {
-	rows, err := getCtx(t).Table1()
+	rows, err := getCtx(t).Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func rel(a, b float64) float64 {
 }
 
 func TestFig5OverallErrorUnder15Percent(t *testing.T) {
-	points, meanErr, err := getCtx(t).Fig5()
+	points, meanErr, err := getCtx(t).Fig5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestFig5OverallErrorUnder15Percent(t *testing.T) {
 }
 
 func TestFig6ErrorsModest(t *testing.T) {
-	points, err := getCtx(t).Fig6()
+	points, err := getCtx(t).Fig6(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestFig6ErrorsModest(t *testing.T) {
 func TestSpeedupBySizeKernelOnlyOverpredicts(t *testing.T) {
 	ctx := getCtx(t)
 	for _, app := range []string{"CFD", "HotSpot", "SRAD"} {
-		rows, err := ctx.SpeedupBySize(app)
+		rows, err := ctx.SpeedupBySize(context.Background(), app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,14 +230,14 @@ func TestSpeedupBySizeKernelOnlyOverpredicts(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ctx.SpeedupBySize("NoSuchApp"); err == nil {
+	if _, err := ctx.SpeedupBySize(context.Background(), "NoSuchApp"); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
 
 func TestIterationSweepConvergence(t *testing.T) {
 	ctx := getCtx(t)
-	sweep, err := ctx.IterationSweep("SRAD", "4096 x 4096", []int{1, 4, 16, 64, 256})
+	sweep, err := ctx.IterationSweep(context.Background(), "SRAD", "4096 x 4096", []int{1, 4, 16, 64, 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,13 +269,13 @@ func TestIterationSweepConvergence(t *testing.T) {
 }
 
 func TestIterationSweepUnknownWorkload(t *testing.T) {
-	if _, err := getCtx(t).IterationSweep("CFD", "1M", []int{1}); err == nil {
+	if _, err := getCtx(t).IterationSweep(context.Background(), "CFD", "1M", []int{1}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
 func TestStassuijFlip(t *testing.T) {
-	res, err := getCtx(t).Stassuij()
+	res, err := getCtx(t).Stassuij(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestStassuijFlip(t *testing.T) {
 }
 
 func TestTable2HeadlineOrdering(t *testing.T) {
-	res, err := getCtx(t).Table2()
+	res, err := getCtx(t).Table2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,49 +344,49 @@ func TestRenderersProduceOutput(t *testing.T) {
 	if s := RenderFig4(rows4, sums4); !strings.Contains(s, "mean error") {
 		t.Error("RenderFig4 output incomplete")
 	}
-	rows1, err := ctx.Table1()
+	rows1, err := ctx.Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := RenderTable1(rows1); !strings.Contains(s, "HotSpot") || !strings.Contains(s, "Stassuij") {
 		t.Error("RenderTable1 output incomplete")
 	}
-	p5, m5, err := ctx.Fig5()
+	p5, m5, err := ctx.Fig5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := RenderFig5(p5, m5); !strings.Contains(s, "overall mean") {
 		t.Error("RenderFig5 output incomplete")
 	}
-	p6, err := ctx.Fig6()
+	p6, err := ctx.Fig6(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := RenderFig6(p6); !strings.Contains(s, "Kernel err") {
 		t.Error("RenderFig6 output incomplete")
 	}
-	rows7, err := ctx.SpeedupBySize("CFD")
+	rows7, err := ctx.SpeedupBySize(context.Background(), "CFD")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := RenderSpeedupBySize("Figure 7", rows7); !strings.Contains(s, "97K") {
 		t.Error("RenderSpeedupBySize output incomplete")
 	}
-	sweep, err := ctx.IterationSweep("CFD", "233K", []int{1, 2})
+	sweep, err := ctx.IterationSweep(context.Background(), "CFD", "233K", []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := RenderIterSweep("Figure 8", sweep); !strings.Contains(s, "infinity") {
 		t.Error("RenderIterSweep output incomplete")
 	}
-	st, err := ctx.Stassuij()
+	st, err := ctx.Stassuij(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := RenderStassuij(st); !strings.Contains(s, "flip") {
 		t.Error("RenderStassuij output incomplete")
 	}
-	t2, err := ctx.Table2()
+	t2, err := ctx.Table2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +397,11 @@ func TestRenderersProduceOutput(t *testing.T) {
 
 func TestReportsCached(t *testing.T) {
 	ctx := getCtx(t)
-	a, err := ctx.Reports()
+	a, err := ctx.Reports(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ctx.Reports()
+	b, err := ctx.Reports(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,14 +30,9 @@ type PinnedRow struct {
 func (r PinnedRow) XferPenalty() float64 { return r.PageableXfer / r.PinnedXfer }
 
 // PinnedAssumption evaluates all workloads under both host memory
-// kinds on machines derived from seed.
-func PinnedAssumption(seed uint64) ([]PinnedRow, error) {
-	return PinnedAssumptionCtx(context.Background(), seed)
-}
-
-// PinnedAssumptionCtx is PinnedAssumption under a context: per-kernel
-// wall-clock spans attach to the caller's trace.
-func PinnedAssumptionCtx(ctx context.Context, seed uint64) ([]PinnedRow, error) {
+// kinds on machines derived from seed. Per-kernel wall-clock spans
+// attach to the caller's trace.
+func PinnedAssumption(ctx context.Context, seed uint64) ([]PinnedRow, error) {
 	ws, err := bench.All()
 	if err != nil {
 		return nil, err
@@ -53,7 +48,7 @@ func PinnedAssumptionCtx(ctx context.Context, seed uint64) ([]PinnedRow, error) 
 			return nil, err
 		}
 		for i, w := range ws {
-			rep, err := p.EvaluateCtx(ctx, w)
+			rep, err := p.Evaluate(ctx, w)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %v %s: %w", kind, w.Name, err)
 			}

@@ -31,15 +31,10 @@ type RobustnessResult struct {
 }
 
 // Robustness evaluates the full benchmark suite on n machine
-// instances derived from the context's base seed.
-func Robustness(baseSeed uint64, n int) (RobustnessResult, error) {
-	return RobustnessCtx(context.Background(), baseSeed, n)
-}
-
-// RobustnessCtx is Robustness under a context: cancellation stops
-// scheduling further machine instances and returns the context's
-// error joined with any evaluation failures.
-func RobustnessCtx(ctx context.Context, baseSeed uint64, n int) (RobustnessResult, error) {
+// instances derived from baseSeed. Cancellation stops scheduling
+// further machine instances and returns the context's error joined
+// with any evaluation failures.
+func Robustness(ctx context.Context, baseSeed uint64, n int) (RobustnessResult, error) {
 	if n <= 0 {
 		return RobustnessResult{}, fmt.Errorf("experiments: robustness needs at least one seed")
 	}
@@ -52,7 +47,7 @@ func RobustnessCtx(ctx context.Context, baseSeed uint64, n int) (RobustnessResul
 		// increment, guaranteeing distinct streams.
 		seeds[i] = baseSeed + uint64(i)*0x9e3779b97f4a7c15
 	}
-	points, err := sweep.RunCtx(ctx, n, 0, func(i int) (point, error) {
+	points, err := sweep.Run(ctx, n, 0, func(i int) (point, error) {
 		// Seeds run concurrently: each gets its own run, so its spans
 		// keep their own simulated clock.
 		ctx, run := trace.StartRun(ctx, fmt.Sprintf("seed %d", i))
@@ -61,7 +56,7 @@ func RobustnessCtx(ctx context.Context, baseSeed uint64, n int) (RobustnessResul
 		if err != nil {
 			return point{}, err
 		}
-		res, err := ec.Table2Ctx(ctx)
+		res, err := ec.Table2(ctx)
 		if err != nil {
 			return point{}, err
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestRobustnessOrderingHoldsAcrossSeeds(t *testing.T) {
-	res, err := Robustness(DefaultSeed, 6)
+	res, err := Robustness(context.Background(), DefaultSeed, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestRobustnessOrderingHoldsAcrossSeeds(t *testing.T) {
 }
 
 func TestRobustnessDeterministicAndParallelSafe(t *testing.T) {
-	a, err := Robustness(7, 4)
+	a, err := Robustness(context.Background(), 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Robustness(7, 4)
+	b, err := Robustness(context.Background(), 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,22 +45,22 @@ func TestRobustnessDeterministicAndParallelSafe(t *testing.T) {
 	}
 }
 
-func TestRobustnessCtxCancelled(t *testing.T) {
+func TestRobustnessCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RobustnessCtx(ctx, 7, 4); !errors.Is(err, context.Canceled) {
+	if _, err := Robustness(ctx, 7, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRobustnessRejectsZeroSeeds(t *testing.T) {
-	if _, err := Robustness(1, 0); err == nil {
+	if _, err := Robustness(context.Background(), 1, 0); err == nil {
 		t.Error("zero seeds accepted")
 	}
 }
 
 func TestRenderRobustness(t *testing.T) {
-	res, err := Robustness(DefaultSeed, 2)
+	res, err := Robustness(context.Background(), DefaultSeed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRenderRobustness(t *testing.T) {
 func TestRobustnessTraceWellFormed(t *testing.T) {
 	tracer := trace.New("paper")
 	ctx, span := trace.Start(trace.With(context.Background(), tracer), "robustness")
-	if _, err := RobustnessCtx(ctx, 7, 2); err != nil {
+	if _, err := Robustness(ctx, 7, 2); err != nil {
 		t.Fatal(err)
 	}
 	span.End()

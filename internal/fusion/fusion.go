@@ -22,6 +22,7 @@
 package fusion
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -61,7 +62,7 @@ func Explore(k *skeleton.Kernel, arch gpu.Arch, iterations int) ([]Candidate, er
 	if !ok {
 		return nil, fmt.Errorf("fusion: kernel %q has no stencil reuse to fuse over", k.Name)
 	}
-	base, _, err := transform.Best(k, arch)
+	base, _, err := transform.Best(context.Background(), k, arch)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func evaluateBackend(t *testing.T, name, backendName string) core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRestoredBackendMatchesLive(t *testing.T) {
 			}
 			// Only what the snapshot store persists.
 			cal := core.Calibration{Fit: p.Calibration().Fit, BusState: p.Calibration().BusState}
-			liveRep, err := p.Evaluate(w)
+			liveRep, err := p.Evaluate(context.Background(), w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestRestoredBackendMatchesLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restoredRep, err := rp.Evaluate(w)
+			restoredRep, err := rp.Evaluate(context.Background(), w)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,7 +41,7 @@ func evaluate(t *testing.T, name string) core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestGoldenTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ctx.Table1()
+	rows, err := ctx.Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

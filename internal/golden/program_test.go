@@ -37,7 +37,7 @@ func evaluatePipeline(t *testing.T, backendName, plan string) core.ProgramReport
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.EvaluateProgram(pw.Prog, pw.CPU)
+	rep, err := p.EvaluateProgram(context.Background(), pw.Prog, pw.CPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestGoldenDegradationNotes(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, w := range bench.MustAll() {
-		rep, err := p.Evaluate(w)
+		rep, err := p.Evaluate(context.Background(), w)
 		if err != nil {
 			t.Fatalf("%s %s: %v", w.Name, w.DataSize, err)
 		}

@@ -38,7 +38,7 @@ func evaluateResilient(t *testing.T, name, backendName string) core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func evaluateOn(t *testing.T, name, targetName string) core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestGoldenTargetDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := p.Evaluate(w)
+				rep, err := p.Evaluate(context.Background(), w)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -42,7 +42,7 @@ func TestSpanTreeWellFormed(t *testing.T) {
 			w, err := sklang.ParseFile(file)
 			switch {
 			case err == nil:
-				rep, err := p.EvaluateCtx(ctx, w)
+				rep, err := p.Evaluate(ctx, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -52,7 +52,7 @@ func TestSpanTreeWellFormed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := p.EvaluateProgramCtx(ctx, pw.Prog, pw.CPU)
+				rep, err := p.EvaluateProgram(ctx, pw.Prog, pw.CPU)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +111,7 @@ func TestTraceDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.EvaluateCtx(ctx, w); err != nil {
+		if _, err := p.Evaluate(ctx, w); err != nil {
 			t.Fatal(err)
 		}
 		tracer.Close()

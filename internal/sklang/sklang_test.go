@@ -122,7 +122,7 @@ func TestParsedBlurEvaluatesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w)
+	rep, err := p.Evaluate(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sklang
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -60,11 +61,11 @@ func TestFormatBuiltinsRoundTrip(t *testing.T) {
 		// The transformation explorer must reach the same best
 		// variant on every kernel.
 		for i := range w.Seq.Kernels {
-			ov, op, err := transform.Best(w.Seq.Kernels[i], arch)
+			ov, op, err := transform.Best(context.Background(), w.Seq.Kernels[i], arch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bv, bp, err := transform.Best(back.Seq.Kernels[i], arch)
+			bv, bp, err := transform.Best(context.Background(), back.Seq.Kernels[i], arch)
 			if err != nil {
 				t.Fatal(err)
 			}

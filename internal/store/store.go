@@ -231,15 +231,10 @@ func (s *Store) filename(k Key) string {
 // Put atomically persists one entry: temp file, fsync, rename, fsync
 // of the directory. A failed write (including an injected chaos
 // fault) leaves no trace of the new entry and never damages an old
-// one.
-func (s *Store) Put(e Entry) error {
-	return s.PutCtx(context.Background(), e)
-}
-
-// PutCtx is Put under a context: when the context carries a request
-// tracer (the daemon's write-through path), the snapshot I/O shows up
-// on the request's trace as a snap.put wall span.
-func (s *Store) PutCtx(ctx context.Context, e Entry) error {
+// one. When ctx carries a request tracer (the daemon's write-through
+// path), the snapshot I/O shows up on the request's trace as a
+// snap.put wall span.
+func (s *Store) Put(ctx context.Context, e Entry) error {
 	_, span := trace.StartWall(ctx, "snap.put")
 	span.SetAttr(trace.String("snap_target", e.Key.Target))
 	defer span.End()
@@ -304,20 +299,14 @@ func syncDir(dir string) error {
 
 // SaveAll persists every entry, continuing past individual failures
 // and joining their errors — a periodic snapshot should save what it
-// can.
-func (s *Store) SaveAll(entries []Entry) error {
-	return s.SaveAllCtx(context.Background(), entries)
-}
-
-// SaveAllCtx is SaveAll under a context, wrapped in a snap.save wall
-// span when one is being recorded.
-func (s *Store) SaveAllCtx(ctx context.Context, entries []Entry) error {
+// can. It runs in a snap.save wall span when one is being recorded.
+func (s *Store) SaveAll(ctx context.Context, entries []Entry) error {
 	ctx, span := trace.StartWall(ctx, "snap.save")
 	span.SetAttr(trace.Int("snap_entries", int64(len(entries))))
 	defer span.End()
 	var errs []error
 	for _, e := range entries {
-		if err := s.PutCtx(ctx, e); err != nil {
+		if err := s.Put(ctx, e); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -347,14 +336,9 @@ type Result struct {
 // NAME.quarantined, bytes preserved) and reported in Problems; stale
 // files are skipped; stray temp files from interrupted writes are
 // removed. Damage never fails the load — the worst disk yields an
-// empty, usable store.
-func (s *Store) Load() (Result, error) {
-	return s.LoadCtx(context.Background())
-}
-
-// LoadCtx is Load under a context, wrapped in a snap.load wall span
-// (with the warm-start outcome as attributes) when one is recorded.
-func (s *Store) LoadCtx(ctx context.Context) (Result, error) {
+// empty, usable store. It runs in a snap.load wall span (with the
+// warm-start outcome as attributes) when one is recorded.
+func (s *Store) Load(ctx context.Context) (Result, error) {
 	_, span := trace.StartWall(ctx, "snap.load")
 	defer span.End()
 	res, err := s.load()

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -110,15 +111,15 @@ func TestPutLoadRoundTrip(t *testing.T) {
 	want := []Entry{entry("a-target", 1), entry("a-target", 2), entry("b-target", 1)}
 	// Save in scrambled order; Load must return sorted-by-key.
 	for _, e := range []Entry{want[2], want[0], want[1]} {
-		if err := s.Put(e); err != nil {
+		if err := s.Put(context.Background(), e); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Re-putting an entry overwrites its file, not duplicates it.
-	if err := s.Put(want[0]); err != nil {
+	if err := s.Put(context.Background(), want[0]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Load()
+	res, err := s.Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +143,14 @@ func TestLoadQuarantinesCorruptFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(entry("good-target", 1)); err != nil {
+	if err := s.Put(context.Background(), entry("good-target", 1)); err != nil {
 		t.Fatal(err)
 	}
 	corrupt := filepath.Join(dir, "feedfacefeedface"+Ext)
 	if err := os.WriteFile(corrupt, []byte("garbage bytes"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Load()
+	res, err := s.Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestLoadQuarantinesCorruptFiles(t *testing.T) {
 	if !bytes.Equal(kept, []byte("garbage bytes")) {
 		t.Error("quarantine did not preserve the damaged bytes")
 	}
-	res2, err := s.Load()
+	res2, err := s.Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestLoadSkipsStaleAndTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := old.Put(entry("old-target", 1)); err != nil {
+	if err := old.Put(context.Background(), entry("old-target", 1)); err != nil {
 		t.Fatal(err)
 	}
 	tmp := filepath.Join(dir, ".tmp-123456")
@@ -200,10 +201,10 @@ func TestLoadSkipsStaleAndTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(entry("new-target", 1)); err != nil {
+	if err := s.Put(context.Background(), entry("new-target", 1)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Load()
+	res, err := s.Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestChaosWriteFaultLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(entry("a-target", 1)); !errdefs.IsTransient(err) {
+	if err := s.Put(context.Background(), entry("a-target", 1)); !errdefs.IsTransient(err) {
 		t.Fatalf("chaos write = %v, want transient", err)
 	}
 	dirents, err := os.ReadDir(dir)
@@ -249,7 +250,7 @@ func TestChaosReadCorruptionIsQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clean.Put(entry("a-target", 1)); err != nil {
+	if err := clean.Put(context.Background(), entry("a-target", 1)); err != nil {
 		t.Fatal(err)
 	}
 	chaos, err := fault.ParseChaos("snap-corrupt=1,seed=5")
@@ -260,7 +261,7 @@ func TestChaosReadCorruptionIsQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Load()
+	res, err := s.Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,11 +287,11 @@ func TestSaveAllContinuesPastFailures(t *testing.T) {
 	for seed := uint64(1); seed <= 16; seed++ {
 		entries = append(entries, entry("a-target", seed))
 	}
-	errAll := s.SaveAll(entries)
+	errAll := s.SaveAll(context.Background(), entries)
 	if errAll == nil {
 		t.Fatal("SaveAll reported no failures at snap-write-err=0.5 over 16 writes")
 	}
-	res, err := s.Load()
+	res, err := s.Load(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

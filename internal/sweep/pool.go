@@ -4,10 +4,10 @@
 // shape: a fixed set of workers consuming tasks submitted one at a
 // time, with every completion delivered on a results channel so the
 // submitter can react (dispatch newly ready work) before the pool
-// drains. RunCtx is the fixed-list special case: submit n, collect by
+// drains. Run is the fixed-list special case: submit n, collect by
 // index.
 //
-// Failure semantics match RunCtx: a panicking task is recovered into an
+// Failure semantics match Run: a panicking task is recovered into an
 // error wrapping errdefs.ErrPanic, and tasks consumed after the pool
 // context is cancelled are not executed — they complete immediately
 // with the context's error. Every submitted task produces exactly one

@@ -1,6 +1,6 @@
 // Package sweep provides the repository's one fan-out primitive: a
 // dynamically fed worker pool (Pool) and the deterministic parallel
-// map built on it (RunCtx).
+// map built on it (Run).
 //
 // Experiments in this repository are single-machine-deterministic: a
 // given seed always produces the same numbers. Sweeps over *many*
@@ -39,7 +39,7 @@ var (
 		"sweep worker goroutines currently running")
 )
 
-// RunCtx maps fn over n inputs on a Pool of at most workers
+// Run maps fn over n inputs on a Pool of at most workers
 // goroutines (GOMAXPROCS if workers <= 0) and returns the n results
 // in input order. All worker errors are aggregated with errors.Join,
 // each wrapped with its input index; on any error the result slice is
@@ -49,7 +49,7 @@ var (
 //
 // fn must be safe to call concurrently for distinct indices (each
 // index should own its state — e.g. its own simulated machine).
-func RunCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
+func Run[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, errdefs.Invalidf("sweep: negative input count %d", n)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 func TestRunPreservesOrder(t *testing.T) {
-	got, err := RunCtx(context.Background(), 100, 7, func(i int) (int, error) { return i * i, nil })
+	got, err := Run(context.Background(), 100, 7, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,21 +24,21 @@ func TestRunPreservesOrder(t *testing.T) {
 }
 
 func TestRunZeroInputs(t *testing.T) {
-	got, err := RunCtx(context.Background(), 0, 4, func(i int) (int, error) { return 0, nil })
+	got, err := Run(context.Background(), 0, 4, func(i int) (int, error) { return 0, nil })
 	if err != nil || got != nil {
 		t.Fatalf("got %v, %v", got, err)
 	}
 }
 
 func TestRunNegativeInputs(t *testing.T) {
-	if _, err := RunCtx(context.Background(), -1, 4, func(i int) (int, error) { return 0, nil }); err == nil {
+	if _, err := Run(context.Background(), -1, 4, func(i int) (int, error) { return 0, nil }); err == nil {
 		t.Fatal("negative count accepted")
 	}
 }
 
 func TestRunPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := RunCtx(context.Background(), 50, 8, func(i int) (int, error) {
+	_, err := Run(context.Background(), 50, 8, func(i int) (int, error) {
 		if i == 33 {
 			return 0, boom
 		}
@@ -51,7 +51,7 @@ func TestRunPropagatesError(t *testing.T) {
 
 func TestRunBoundsWorkers(t *testing.T) {
 	var active, peak int64
-	_, err := RunCtx(context.Background(), 64, 3, func(i int) (int, error) {
+	_, err := Run(context.Background(), 64, 3, func(i int) (int, error) {
 		cur := atomic.AddInt64(&active, 1)
 		for {
 			old := atomic.LoadInt64(&peak)
@@ -76,7 +76,7 @@ func TestRunBoundsWorkers(t *testing.T) {
 }
 
 func TestRunDefaultWorkers(t *testing.T) {
-	got, err := RunCtx(context.Background(), 10, 0, func(i int) (string, error) { return "x", nil })
+	got, err := Run(context.Background(), 10, 0, func(i int) (string, error) { return "x", nil })
 	if err != nil || len(got) != 10 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -85,7 +85,7 @@ func TestRunDefaultWorkers(t *testing.T) {
 func TestQuickRunMatchesSequential(t *testing.T) {
 	prop := func(n uint8, workers uint8) bool {
 		fn := func(i int) (int, error) { return 3*i + 1, nil }
-		par, err := RunCtx(context.Background(), int(n), int(workers%8), fn)
+		par, err := Run(context.Background(), int(n), int(workers%8), fn)
 		if err != nil {
 			return false
 		}
@@ -105,7 +105,7 @@ func TestQuickRunMatchesSequential(t *testing.T) {
 func TestRunAggregatesAllErrors(t *testing.T) {
 	errA := errors.New("boom A")
 	errB := errors.New("boom B")
-	_, err := RunCtx(context.Background(), 50, 8, func(i int) (int, error) {
+	_, err := Run(context.Background(), 50, 8, func(i int) (int, error) {
 		switch i {
 		case 7:
 			return 0, errA
@@ -120,7 +120,7 @@ func TestRunAggregatesAllErrors(t *testing.T) {
 }
 
 func TestRunRecoversPanics(t *testing.T) {
-	_, err := RunCtx(context.Background(), 20, 4, func(i int) (int, error) {
+	_, err := Run(context.Background(), 20, 4, func(i int) (int, error) {
 		if i == 13 {
 			panic("unlucky input")
 		}
@@ -137,13 +137,13 @@ func TestRunRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestRunCtxStopsScheduling: input 0 cancels the context; every
+// TestRunStopsScheduling: input 0 cancels the context; every
 // other input waits for that cancellation before returning, so no
 // worker can drain the remaining inputs before input 0 runs.
-func TestRunCtxStopsScheduling(t *testing.T) {
+func TestRunStopsScheduling(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started int64
-	_, err := RunCtx(ctx, 1000, 2, func(i int) (int, error) {
+	_, err := Run(ctx, 1000, 2, func(i int) (int, error) {
 		atomic.AddInt64(&started, 1)
 		if i == 0 {
 			cancel()
@@ -160,11 +160,11 @@ func TestRunCtxStopsScheduling(t *testing.T) {
 	}
 }
 
-func TestRunCtxPreCancelled(t *testing.T) {
+func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int64
-	_, err := RunCtx(ctx, 100, 4, func(i int) (int, error) {
+	_, err := Run(ctx, 100, 4, func(i int) (int, error) {
 		atomic.AddInt64(&ran, 1)
 		return i, nil
 	})

@@ -21,7 +21,7 @@ func hotspotReport(t *testing.T, iters int) core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Evaluate(w.WithIterations(iters))
+	rep, err := p.Evaluate(context.Background(), w.WithIterations(iters))
 	if err != nil {
 		t.Fatal(err)
 	}

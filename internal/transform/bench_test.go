@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"testing"
 
 	"grophecy/internal/gpu"
@@ -22,7 +23,7 @@ func BenchmarkBest(b *testing.B) {
 	arch := gpu.QuadroFX5600()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Best(k, arch); err != nil {
+		if _, _, err := Best(context.Background(), k, arch); err != nil {
 			b.Fatal(err)
 		}
 	}

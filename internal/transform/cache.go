@@ -47,7 +47,7 @@ const maxCacheEntries = 512
 
 // entry is one memoized enumeration. variants is immutable after
 // insertion — readers receive clones. The best-variant projection is
-// filled lazily by BestCtx under mu; racing fills compute identical
+// filled lazily by Best under mu; racing fills compute identical
 // values, so last-write-wins is deterministic.
 type entry struct {
 	variants []Variant

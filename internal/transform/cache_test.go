@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -168,12 +169,12 @@ func TestBestMatchesAcrossCacheStates(t *testing.T) {
 		k := randomKernel(rng, 1000+i)
 
 		SetCacheEnabled(false)
-		vOff, pOff, errOff := Best(k, arch)
+		vOff, pOff, errOff := Best(context.Background(), k, arch)
 
 		SetCacheEnabled(true)
 		ResetCache()
-		vMiss, pMiss, errMiss := Best(k, arch)
-		vHit, pHit, errHit := Best(k, arch)
+		vMiss, pMiss, errMiss := Best(context.Background(), k, arch)
+		vHit, pHit, errHit := Best(context.Background(), k, arch)
 		SetCacheEnabled(false)
 
 		if (errOff == nil) != (errMiss == nil) || (errOff == nil) != (errHit == nil) {

@@ -484,19 +484,14 @@ func Stencil(k *skeleton.Kernel, arch gpu.Arch) (StencilInfo, bool) {
 // Best explores the kernel and returns the variant with the fastest
 // analytical projection, together with that projection — GROPHECY's
 // "best achievable performance and the transformations necessary to
-// reach that performance".
-func Best(k *skeleton.Kernel, arch gpu.Arch) (Variant, perfmodel.Projection, error) {
-	return BestCtx(context.Background(), k, arch)
-}
-
-// BestCtx is Best under a "transform.best" trace span (when the
-// context carries a tracer) recording how many variants the
+// reach that performance". It runs under a "transform.best" trace
+// span (when ctx carries a tracer) recording how many variants the
 // exploration considered.
 //
 // The winning variant's projection is memoized alongside the
 // enumeration (cache.go), so a warm call skips both the exploration
 // and the per-candidate analytical projection.
-func BestCtx(ctx context.Context, k *skeleton.Kernel, arch gpu.Arch) (Variant, perfmodel.Projection, error) {
+func Best(ctx context.Context, k *skeleton.Kernel, arch gpu.Arch) (Variant, perfmodel.Projection, error) {
 	_, span := trace.Start(ctx, "transform.best", trace.String("kernel", k.Name))
 	defer span.End()
 	e, err := cachedEntry(k, arch)

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -300,7 +301,7 @@ func TestEnumerateErrors(t *testing.T) {
 func TestBestPicksFastestVariant(t *testing.T) {
 	arch := gpu.QuadroFX5600()
 	k := stencilKernel(1024)
-	best, proj, err := Best(k, arch)
+	best, proj, err := Best(context.Background(), k, arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,11 +326,11 @@ func TestBestPicksFastestVariant(t *testing.T) {
 
 func TestBestVariantNamesAreStable(t *testing.T) {
 	arch := gpu.QuadroFX5600()
-	b1, _, err := Best(stencilKernel(1024), arch)
+	b1, _, err := Best(context.Background(), stencilKernel(1024), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, _, err := Best(stencilKernel(1024), arch)
+	b2, _, err := Best(context.Background(), stencilKernel(1024), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestThreeParallelLoopKernel(t *testing.T) {
 			t.Errorf("%s: 3D unit-stride kernel got %v txns", v.Name, v.Ch.TransactionsPerRequest)
 		}
 	}
-	if _, _, err := Best(k, arch); err != nil {
+	if _, _, err := Best(context.Background(), k, arch); err != nil {
 		t.Fatal(err)
 	}
 }
