@@ -106,9 +106,10 @@ func DefaultPiecewiseGrid(cfg CalibrationConfig) []int64 {
 // CalibratePiecewise measures every knot of the grid (cfg.Sizes, or
 // DefaultPiecewiseGrid) through sample and fits one secant line
 // per adjacent knot pair and direction: β is the slope between the
-// two mean times, α the intercept. With exactly two knots this
-// degenerates to a single global line fitted through both measured
-// points.
+// two mean times, α the intercept. A knot whose mean does not exceed
+// the last kept knot's is bridged by the secant across it. With
+// exactly two knots this degenerates to a single global line fitted
+// through both measured points.
 func CalibratePiecewise(sample Sampler, cfg CalibrationConfig) (PiecewiseModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return PiecewiseModel{}, err
@@ -132,17 +133,22 @@ func CalibratePiecewise(sample Sampler, cfg CalibrationConfig) (PiecewiseModel, 
 			pm.Summary.CalibrationTransfers += pt.Transfers
 		}
 		pm.Dir[d] = make([]Model, len(knots)-1)
-		for i := range pm.Dir[d] {
-			x0, x1 := float64(knots[i]), float64(knots[i+1])
-			beta := (times[i+1] - times[i]) / (x1 - x0)
-			alpha := times[i] - beta*x0
-			if beta <= 0 {
-				// A noisy draw can invert a short segment; fall back to
-				// the global secant so the segment stays physical.
-				beta = (times[len(times)-1] - times[0]) / (float64(knots[len(knots)-1]) - x0)
-				alpha = times[i] - beta*x0
+		// A noisy draw can invert a short segment. A knot whose mean
+		// does not exceed the last kept knot's stops being an endpoint,
+		// so every segment between two kept knots shares their secant
+		// and the fit stays continuous and increasing.
+		lo := 0
+		for hi := 1; hi < len(knots); hi++ {
+			if times[hi] <= times[lo] && hi < len(knots)-1 {
+				continue
 			}
-			pm.Dir[d][i] = Model{Alpha: alpha, Beta: beta}
+			x0, x1 := float64(knots[lo]), float64(knots[hi])
+			beta := (times[hi] - times[lo]) / (x1 - x0)
+			alpha := times[lo] - beta*x0
+			for i := lo; i < hi; i++ {
+				pm.Dir[d][i] = Model{Alpha: alpha, Beta: beta}
+			}
+			lo = hi
 		}
 		// The global summary mirrors the paper's two-point definition
 		// on the same measurements: α from the smallest knot, β from

@@ -327,3 +327,34 @@ func TestQuickPredictAdditivity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPiecewiseBridgesInvertedKnot: a knot measured no slower than its
+// left neighbour is bridged, so the fit passes through every kept knot,
+// stays continuous, and never drops one byte past the inverted knot.
+func TestPiecewiseBridgesInvertedKnot(t *testing.T) {
+	cfg := DefaultCalibration()
+	knots := DefaultPiecewiseGrid(cfg)
+	times := map[int64]float64{knots[0]: 10e-6, knots[1]: 9e-6, knots[2]: 30e-6, knots[3]: 1e-3, knots[4]: 0.1}
+	sample := func(_ pcie.Direction, _ pcie.MemoryKind, size int64) (Point, error) {
+		return Point{Time: times[size], Cost: times[size], Transfers: 1}, nil
+	}
+	pm, err := CalibratePiecewise(sample, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := pm.Dir[pcie.HostToDevice]
+	if seg[0] != seg[1] {
+		t.Errorf("segments around the inverted knot differ: %+v vs %+v", seg[0], seg[1])
+	}
+	for _, k := range []int64{knots[0], knots[2], knots[3], knots[4]} {
+		got, err := pm.Predict(pcie.HostToDevice, k)
+		if err != nil || math.Abs(got-times[k]) > 1e-12*times[k] {
+			t.Errorf("Predict(%d) = %v, %v; want the knot's mean %v", k, got, err, times[k])
+		}
+	}
+	at, _ := pm.Predict(pcie.HostToDevice, knots[1])
+	past, _ := pm.Predict(pcie.HostToDevice, knots[1]+1)
+	if past < at {
+		t.Errorf("Predict(%d) = %v drops below Predict(%d) = %v", knots[1]+1, past, knots[1], at)
+	}
+}
