@@ -121,6 +121,7 @@ fuzz-short:
 	$(GO) test -run=xxx -fuzz=FuzzChromeJSON -fuzztime=10s ./internal/trace/
 	$(GO) test -run=xxx -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/
 	$(GO) test -run=xxx -fuzz=FuzzTraceparent -fuzztime=10s ./internal/trace/
+	$(GO) test -run=xxx -fuzz=FuzzProjectRequest -fuzztime=10s ./cmd/grophecyd/
 
 fmt:
 	gofmt -w .

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"grophecy/internal/errdefs"
 	"grophecy/internal/gpu"
 	"grophecy/internal/gpusim"
 	"grophecy/internal/perfmodel"
@@ -261,7 +262,7 @@ func (f fittedKernels) ProjectKernel(ctx context.Context, k *skeleton.Kernel, ar
 		}
 	}
 	if !found {
-		return transform.Variant{}, perfmodel.Projection{}, fmt.Errorf("backend: kernel %q has no launchable variants", k.Name)
+		return transform.Variant{}, perfmodel.Projection{}, errdefs.Invalidf("backend: kernel %q has no launchable variants", k.Name)
 	}
 	return best, bestProj, nil
 }

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 
+	"grophecy/internal/errdefs"
 	"grophecy/internal/gpu"
 	"grophecy/internal/metrics"
 )
@@ -262,7 +263,8 @@ func Project(arch gpu.Arch, ch Characteristics) (Projection, error) {
 // ProjectBest runs Project over several candidate characteristics and
 // returns the fastest projection and the index of the winning
 // candidate. Candidates that cannot launch are skipped; if none can,
-// an error is returned.
+// the kernel does not fit arch, and the error wraps
+// errdefs.ErrInvalidInput.
 func ProjectBest(arch gpu.Arch, candidates []Characteristics) (Projection, int, error) {
 	bestIdx := -1
 	var best Projection
@@ -276,7 +278,7 @@ func ProjectBest(arch gpu.Arch, candidates []Characteristics) (Projection, int, 
 		}
 	}
 	if bestIdx < 0 {
-		return Projection{}, -1, fmt.Errorf("perfmodel: no candidate can launch on %s", arch.Name)
+		return Projection{}, -1, errdefs.Invalidf("perfmodel: no candidate can launch on %s", arch.Name)
 	}
 	return best, bestIdx, nil
 }
