@@ -479,11 +479,12 @@ func isGated(name string, gate []string) bool {
 	return false
 }
 
-// benchKey identifies one benchmark across documents.
+// benchKey identifies one benchmark across documents. GOMAXPROCS is
+// not part of it: a baseline recorded on a host with another CPU count
+// must still be compared, not reported as removed plus new.
 type benchKey struct {
-	pkg   string
-	name  string
-	procs int
+	pkg  string
+	name string
 }
 
 // collectMin indexes a document's results by benchmark, collapsing
@@ -496,7 +497,7 @@ type benchKey struct {
 func collectMin(doc *Document) map[benchKey]Result {
 	by := make(map[benchKey]Result, len(doc.Benchmarks))
 	for _, r := range doc.Benchmarks {
-		k := benchKey{r.Package, r.Name, r.Procs}
+		k := benchKey{r.Package, r.Name}
 		prev, ok := by[k]
 		if !ok {
 			by[k] = r
@@ -547,10 +548,7 @@ func diffDocuments(oldDoc, newDoc *Document, nsThr, allocThr float64, gate []str
 		if a.pkg != b.pkg {
 			return a.pkg < b.pkg
 		}
-		if a.name != b.name {
-			return a.name < b.name
-		}
-		return a.procs < b.procs
+		return a.name < b.name
 	})
 
 	rep := &DiffReport{
@@ -562,8 +560,12 @@ func diffDocuments(oldDoc, newDoc *Document, nsThr, allocThr float64, gate []str
 	for _, k := range keys {
 		old, haveOld := oldBy[k]
 		cur, haveNew := newBy[k]
+		procs := cur.Procs
+		if !haveNew {
+			procs = old.Procs
+		}
 		row := DiffRow{
-			Package: k.pkg, Name: k.name, Procs: k.procs,
+			Package: k.pkg, Name: k.name, Procs: procs,
 			Gated:       isGated(k.name, gate),
 			NsDelta:     "n/a",
 			AllocsDelta: "n/a",

@@ -41,6 +41,7 @@ func TestDiffDocuments(t *testing.T) {
 		wantStatus  string
 		wantRegr    int
 		wantNsDelta string
+		wantProcs   int
 	}{
 		{
 			name:        "improvement stays green",
@@ -111,6 +112,16 @@ func TestDiffDocuments(t *testing.T) {
 			wantNsDelta: "n/a",
 		},
 		{
+			// A baseline recorded at GOMAXPROCS 1 must still be compared
+			// against a run on a 2-CPU host, not read as removed + new.
+			name:       "rows match across GOMAXPROCS",
+			old:        mkDoc(Result{Name: "EndToEndProjection", NsPerOp: 1000, AllocsPerOp: 100, Procs: 1}),
+			new:        mkDoc(Result{Name: "EndToEndProjection", NsPerOp: 1200, AllocsPerOp: 100, Procs: 2}),
+			wantStatus: "regression",
+			wantRegr:   1,
+			wantProcs:  2,
+		},
+		{
 			name:       "gated sub-benchmark is covered",
 			old:        mkDoc(Result{Name: "Union/large-overlap", NsPerOp: 100}),
 			new:        mkDoc(Result{Name: "Union/large-overlap", NsPerOp: 200}),
@@ -132,6 +143,9 @@ func TestDiffDocuments(t *testing.T) {
 					hit = true
 					if c.wantNsDelta != "" && r.NsDelta != c.wantNsDelta {
 						t.Fatalf("nsDelta = %q, want %q", r.NsDelta, c.wantNsDelta)
+					}
+					if c.wantProcs != 0 && r.Procs != c.wantProcs {
+						t.Fatalf("procs = %d, want the new document's %d", r.Procs, c.wantProcs)
 					}
 				}
 			}
