@@ -22,9 +22,9 @@
 //     iteration count);
 //   - GPU speedup = measured CPU time / total GPU time.
 //
-// Each operation has one entry point, and it takes a context first
-// (New, Projector.Evaluate, EvaluateIterations, EvaluateProgram): the
-// context carries the tracer, the logger and cancellation.
+// Calibration and evaluation take a context first (New,
+// Projector.Evaluate, EvaluateIterations, EvaluateProgram); it carries
+// the tracer, the logger and cancellation.
 package core
 
 import (
