@@ -287,23 +287,12 @@ func printDiagnostics(machine *core.Machine, r core.Report) {
 }
 
 // buildProjector arms the machine with plan, unless it is empty, and
-// calibrates a projector on it. The resilient calibration of an armed
-// machine traces itself; a clean one gets its xfermodel.calibrate
-// span here.
+// calibrates a projector on it.
 func buildProjector(ctx context.Context, machine *core.Machine, opts core.Options, plan fault.Plan) (*core.Projector, error) {
 	if !plan.Empty() {
 		machine.ArmFaults(plan)
-		return core.New(ctx, machine, opts)
 	}
-	_, span := trace.Start(ctx, "xfermodel.calibrate", trace.String("backend", opts.Backend))
-	defer span.End()
-	p, err := core.New(ctx, machine, opts)
-	if err == nil {
-		bm := p.BusModel()
-		span.SetAttr(trace.Int("transfers", int64(bm.CalibrationTransfers)))
-		span.SetAttr(trace.Float("bus_cost_s", bm.CalibrationCost))
-	}
-	return p, err
+	return core.New(ctx, machine, opts)
 }
 
 // printResilience reports what the fault layer of an armed machine

@@ -455,8 +455,10 @@ func TestPerRequestCacheCounts(t *testing.T) {
 // edge-free batch has a simulated trace byte-identical to the same
 // job served alone through /project — sibling runs under one request
 // tree never share a clock, and the service spans that differ between
-// the two paths (shared calibration, admission) never reach it. Every
-// retained tree also passes Check.
+// the two paths (admission) never reach it. A pool miss records its
+// calibration span in the run that owns the flight, so every key is
+// calibrated before the batch and both paths hit. Every retained tree
+// also passes Check.
 func TestBatchRunTracesMatchProject(t *testing.T) {
 	srv, s, _ := startDaemon(t, daemonConfig{BatchWorkers: 4})
 	src := hotspotSource(t)
@@ -465,6 +467,9 @@ func TestBatchRunTracesMatchProject(t *testing.T) {
 		iters int
 	}
 	jobs := []job{{7, 0}, {7, 0}, {8, 3}, {9, 0}, {experiments.DefaultSeed, 5}, {8, 3}}
+	for _, j := range jobs {
+		post(t, fmt.Sprintf("%s/project?seed=%d", srv.URL, j.seed), src)
+	}
 	var parts []string
 	for _, j := range jobs {
 		b, err := json.Marshal(batchJob{Skeleton: src, Seed: uptr(j.seed), Iters: j.iters})

@@ -296,10 +296,9 @@ func (s *server) closeSinks() {
 // import each other, so the daemon owns the translation.
 func storeEntry(e engine.Entry) store.Entry {
 	return store.Entry{
-		Key:      store.Key{Target: e.Key.Target, Backend: e.Key.Backend, Kind: e.Key.Kind, Seed: e.Key.Seed},
-		Model:    e.Model,
-		Fit:      e.Fit,
-		BusState: e.BusState,
+		Key:   store.Key{Target: e.Key.Target, Backend: e.Key.Backend, Kind: e.Key.Kind, Seed: e.Key.Seed},
+		Model: e.Model,
+		Fit:   e.Fit,
 	}
 }
 
@@ -307,10 +306,9 @@ func engineEntries(es []store.Entry) []engine.Entry {
 	out := make([]engine.Entry, len(es))
 	for i, e := range es {
 		out[i] = engine.Entry{
-			Key:      engine.Key{Target: e.Key.Target, Backend: e.Key.Backend, Kind: e.Key.Kind, Seed: e.Key.Seed},
-			Model:    e.Model,
-			Fit:      e.Fit,
-			BusState: e.BusState,
+			Key:   engine.Key{Target: e.Key.Target, Backend: e.Key.Backend, Kind: e.Key.Kind, Seed: e.Key.Seed},
+			Model: e.Model,
+			Fit:   e.Fit,
 		}
 	}
 	return out

@@ -76,7 +76,7 @@ func main() {
 		fmt.Printf("calibration: two-point (%s and %s, %d runs each; paper §III-C)\n",
 			units.FormatBytes(cfg.SmallSize), units.FormatBytes(cfg.LargeSize), cfg.Runs)
 		calSpan.SetAttr(trace.String("scheme", "raw two-point"))
-		model, err = xfermodel.CalibrateTwoPoint(bus, cfg)
+		model, err = xfermodel.CalibrateTwoPoint(ctx, xfermodel.MeanSampler(bus, cfg.Runs), cfg, nil)
 	}
 	if err != nil {
 		fatal(err)

@@ -15,12 +15,23 @@ import (
 
 // components builds a fresh calibration input at a fixed seed.
 func components(seed uint64) Components {
+	return componentsOn(busAt(seed), seed)
+}
+
+// busAt is a fresh default bus at seed.
+func busAt(seed uint64) *pcie.Bus {
 	cfg := pcie.DefaultConfig()
 	cfg.Seed = seed
+	return pcie.NewBus(cfg)
+}
+
+// componentsOn builds a calibration input that samples bus with the
+// paper's raw mean.
+func componentsOn(bus *pcie.Bus, seed uint64) Components {
 	return Components{
-		Bus:  pcie.NewBus(cfg),
-		Arch: gpu.QuadroFX5600(),
-		Seed: seed,
+		Sample: xfermodel.MeanSampler(bus, xfermodel.DefaultCalibration().Runs),
+		Arch:   gpu.QuadroFX5600(),
+		Seed:   seed,
 	}
 }
 
@@ -200,27 +211,28 @@ func TestTransferKindMismatch(t *testing.T) {
 }
 
 // TestFittedLeavesBusDrawsIdentical: the fitted backend's
-// microbenchmarks must not consume extra draws from the machine's GPU
-// noise stream relative to analytic — the calibration pool snapshots
-// only the bus state, so any extra serving-machine draws would make
-// warm-started fitted projections diverge. The bus is exercised
-// identically per grid, so compare the bus noise state after an
-// analytic and a fitted calibration over the same grid.
+// microbenchmarks must not consume bus draws beyond its transfer
+// sweep. The bus is exercised identically per grid, so after a fitted
+// calibration and a bare least-squares sweep over the same grid the
+// two buses' next transfers must agree.
 func TestFittedLeavesBusDrawsIdentical(t *testing.T) {
 	cfg := xfermodel.DefaultCalibration()
 	cfg.Sizes = []int64{cfg.SmallSize, cfg.LargeSize}
 
-	a := components(11)
-	if _, _, err := mustGet(t, "fitted").Calibrate(context.Background(), a, cfg); err != nil {
+	a := busAt(11)
+	if _, _, err := mustGet(t, "fitted").Calibrate(context.Background(), componentsOn(a, 11), cfg); err != nil {
 		t.Fatal(err)
 	}
-	b := components(11)
+	b := busAt(11)
 	grid := cfg.Sizes
-	if _, err := xfermodel.CalibrateLeastSquares(xfermodel.MeanSampler(b.Bus, cfg.Runs), cfg, grid); err != nil {
+	if _, err := xfermodel.CalibrateLeastSquares(xfermodel.MeanSampler(b, cfg.Runs), cfg, grid); err != nil {
 		t.Fatal(err)
 	}
-	if a.Bus.NoiseState() != b.Bus.NoiseState() {
-		t.Error("fitted calibration consumed bus draws beyond its transfer sweep")
+	ta, errA := a.Transfer(pcie.HostToDevice, pcie.Pinned, units.MB)
+	tb, errB := b.Transfer(pcie.HostToDevice, pcie.Pinned, units.MB)
+	if errA != nil || errB != nil || ta != tb {
+		t.Errorf("fitted calibration consumed bus draws beyond its transfer sweep: next transfer %g (%v) vs %g (%v)",
+			ta, errA, tb, errB)
 	}
 }
 

@@ -24,9 +24,9 @@ func monotoneSizes() []int64 {
 	return slices.Compact(sizes)
 }
 
-// checkMonotone calibrates every backend for both memory kinds on
-// tgt's machine at seed, the way core.New does on a clean machine, and
-// fails on any pair of sizes whose predicted transfer time decreases.
+// checkMonotone calibrates every backend for both memory kinds with
+// the paper's raw-mean protocol on the bus of tgt's machine at seed,
+// and fails on any pair of sizes whose predicted transfer time decreases.
 func checkMonotone(t *testing.T, tgt target.Target, seed uint64, sizes []int64) {
 	t.Helper()
 	for _, b := range backend.Default.List() {
@@ -34,7 +34,7 @@ func checkMonotone(t *testing.T, tgt target.Target, seed uint64, sizes []int64) 
 			m := tgt.Machine(seed)
 			cfg := xfermodel.DefaultCalibration()
 			cfg.Kind = kind
-			comp := backend.Components{Bus: m.Bus, Arch: m.GPUArch, Seed: m.Seed}
+			comp := backend.Components{Sample: xfermodel.MeanSampler(m.Bus, cfg.Runs), Arch: m.GPUArch, Seed: m.Seed}
 			inst, _, err := b.Calibrate(context.Background(), comp, cfg)
 			if err != nil {
 				t.Fatalf("%s seed %d %s %v: %v", tgt.Name, seed, b.Name(), kind, err)

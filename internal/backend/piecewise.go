@@ -23,11 +23,7 @@ func (piecewiseBackend) Description() string {
 }
 
 func (piecewiseBackend) Calibrate(ctx context.Context, comp Components, cfg xfermodel.CalibrationConfig) (Instance, Fit, error) {
-	if comp.Bus == nil {
-		return Instance{}, Fit{}, fmt.Errorf("backend: piecewise calibration needs a bus")
-	}
-	sample, health := comp.sampler(ctx, cfg.Runs)
-	pm, err := xfermodel.CalibratePiecewise(sample, cfg)
+	pm, err := xfermodel.CalibratePiecewise(comp.Sample, cfg)
 	if err != nil {
 		return Instance{}, Fit{}, err
 	}
@@ -35,9 +31,7 @@ func (piecewiseBackend) Calibrate(ctx context.Context, comp Components, cfg xfer
 	if err != nil {
 		return Instance{}, Fit{}, fmt.Errorf("backend: encoding piecewise fit: %w", err)
 	}
-	inst := piecewiseInstance(pm)
-	inst.Health = health
-	return inst, Fit{Backend: "piecewise", Kind: cfg.Kind, Payload: payload}, nil
+	return piecewiseInstance(pm), Fit{Backend: "piecewise", Kind: cfg.Kind, Payload: payload}, nil
 }
 
 func (b piecewiseBackend) Restore(fit Fit) (Instance, error) {

@@ -71,8 +71,8 @@ func TestAnalyticBackendByteIdentity(t *testing.T) {
 }
 
 // TestRestoredBackendMatchesLive: for every backend, a projector
-// restored from the persisted part of a calibration (the fit and the
-// bus noise state) predicts exactly what the live-calibrated
+// restored from the persisted part of a calibration (the fit)
+// predicts exactly what the live-calibrated
 // projector predicted. This is the invariant the daemon's snapshot
 // warm-start depends on.
 func TestRestoredBackendMatchesLive(t *testing.T) {
@@ -88,7 +88,7 @@ func TestRestoredBackendMatchesLive(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Only what the snapshot store persists.
-			cal := core.Calibration{Fit: p.Calibration().Fit, BusState: p.Calibration().BusState}
+			cal := core.Calibration{Fit: p.Calibration().Fit}
 			liveRep, err := p.Evaluate(context.Background(), w)
 			if err != nil {
 				t.Fatal(err)

@@ -48,8 +48,6 @@ func evaluateResilient(t *testing.T, name, backendName string) core.Report {
 // TestResilientGoldenReports pins the resilient pipeline's JSON
 // reports (which carry the Resilient flag and every degradation) for
 // the four paper workloads under goldenPlan, through every backend.
-// The analytic files predate the single projector constructor and
-// must never be regenerated.
 func TestResilientGoldenReports(t *testing.T) {
 	for _, bk := range backend.Default.Names() {
 		for _, name := range skeletons {

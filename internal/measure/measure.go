@@ -209,14 +209,6 @@ func New(cfg Config) (*Meter, error) {
 	return &Meter{cfg: cfg, rng: rng.New(cfg.Seed)}, nil
 }
 
-// State returns the position of the meter's jitter stream. Together
-// with SetState it lets a fresh meter resume exactly where another
-// one left off, e.g. after a cached calibration.
-func (m *Meter) State() uint64 { return m.rng.State() }
-
-// SetState restores a jitter-stream position captured with State.
-func (m *Meter) SetState(state uint64) { m.rng.SetState(state) }
-
 // Sample performs one robust measurement of the quantity produced by
 // sample, which is invoked once per observation and may fail
 // transiently (errdefs.ErrTransient, retried) or permanently (any

@@ -27,6 +27,7 @@
 package memplan
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -132,7 +133,7 @@ func Calibrate(bus *pcie.Bus, alloc *pcie.Allocator) (Models, error) {
 	for _, kind := range []pcie.MemoryKind{pcie.Pinned, pcie.Pageable} {
 		xcfg := xfermodel.DefaultCalibration()
 		xcfg.Kind = kind
-		tm, err := xfermodel.CalibrateTwoPoint(bus, xcfg)
+		tm, err := xfermodel.CalibrateTwoPoint(context.Background(), xfermodel.MeanSampler(bus, xcfg.Runs), xcfg, nil)
 		if err != nil {
 			return Models{}, fmt.Errorf("memplan: transfer calibration (%v): %w", kind, err)
 		}

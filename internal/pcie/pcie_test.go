@@ -338,30 +338,3 @@ func TestQuickTransferAtLeastZero(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestNoiseStateRoundTrip(t *testing.T) {
-	a := newTestBus()
-	for i := 0; i < 5; i++ {
-		if _, err := a.Transfer(HostToDevice, Pinned, 1<<20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A fresh bus fast-forwarded to a's noise state must measure the
-	// same transfers a would — the property that keeps cached
-	// calibrations (internal/engine) bit-identical to fresh ones.
-	b := newTestBus()
-	b.SetNoiseState(a.NoiseState())
-	for i := 0; i < 100; i++ {
-		got, err := b.Transfer(DeviceToHost, Pinned, 4<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := a.Transfer(DeviceToHost, Pinned, 4<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("restored bus diverged at transfer %d: %g != %g", i, got, want)
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package xfermodel_test
 
 import (
+	"context"
 	"fmt"
 
 	"grophecy/internal/pcie"
@@ -14,7 +15,9 @@ import (
 func Example() {
 	bus := pcie.NewBus(pcie.DefaultConfig())
 
-	model, err := xfermodel.CalibrateTwoPoint(bus, xfermodel.DefaultCalibration())
+	cfg := xfermodel.DefaultCalibration()
+	model, err := xfermodel.CalibrateTwoPoint(context.Background(),
+		xfermodel.MeanSampler(bus, cfg.Runs), cfg, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -22,14 +22,29 @@ func newMeter(t *testing.T) *measure.Meter {
 	return m
 }
 
+// twoPoint is the paper's calibration: the two-point scheme over raw
+// 10-run means on bus.
+func twoPoint(bus *pcie.Bus, cfg CalibrationConfig) (BusModel, error) {
+	return CalibrateTwoPoint(context.Background(), MeanSampler(bus, cfg.Runs), cfg, nil)
+}
+
+// resilient is the two-point scheme over meter's robust estimates of
+// src, returning the health record both the sampler and the ladder
+// write to.
+func resilient(ctx context.Context, meter *measure.Meter, src measure.Source, cfg CalibrationConfig) (BusModel, *Health, error) {
+	h := &Health{}
+	bm, err := CalibrateTwoPoint(ctx, RobustSampler(ctx, meter, src, h), cfg, h)
+	return bm, h, err
+}
+
 func TestCalibrateResilientCleanMatchesTwoPoint(t *testing.T) {
 	cfg := DefaultCalibration()
-	ref, err := CalibrateTwoPoint(pcie.NewBus(pcie.DefaultConfig()), cfg)
+	ref, err := twoPoint(pcie.NewBus(pcie.DefaultConfig()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	bm, h, err := CalibrateResilient(context.Background(), newMeter(t),
+	bm, h, err := resilient(context.Background(), newMeter(t),
 		pcie.NewBus(pcie.DefaultConfig()), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +68,7 @@ func TestCalibrateResilientCleanMatchesTwoPoint(t *testing.T) {
 
 func TestCalibrateResilientUnderOutliers(t *testing.T) {
 	cfg := DefaultCalibration()
-	ref, err := CalibrateTwoPoint(pcie.NewBus(pcie.DefaultConfig()), cfg)
+	ref, err := twoPoint(pcie.NewBus(pcie.DefaultConfig()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +82,7 @@ func TestCalibrateResilientUnderOutliers(t *testing.T) {
 		Seed: 99,
 	}
 	src := fault.NewBus(pcie.NewBus(pcie.DefaultConfig()), plan)
-	bm, h, err := CalibrateResilient(context.Background(), newMeter(t), src, cfg)
+	bm, h, err := resilient(context.Background(), newMeter(t), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +112,7 @@ func (deadSource) Transfer(pcie.Direction, pcie.MemoryKind, int64) (float64, err
 }
 
 func TestCalibrateResilientAllFailIsConservative(t *testing.T) {
-	bm, h, err := CalibrateResilient(context.Background(), newMeter(t),
+	bm, h, err := resilient(context.Background(), newMeter(t),
 		deadSource{}, DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +149,7 @@ func (s flakySizeSource) Transfer(dir pcie.Direction, kind pcie.MemoryKind, size
 func TestCalibrateResilientLadderFallback(t *testing.T) {
 	cfg := DefaultCalibration()
 	src := flakySizeSource{bus: pcie.NewBus(pcie.DefaultConfig()), badSize: cfg.LargeSize}
-	bm, h, err := CalibrateResilient(context.Background(), newMeter(t), src, cfg)
+	bm, h, err := resilient(context.Background(), newMeter(t), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +198,7 @@ func contains(s, sub string) bool {
 func TestCalibrateResilientCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := CalibrateResilient(ctx, newMeter(t),
+	_, _, err := resilient(ctx, newMeter(t),
 		pcie.NewBus(pcie.DefaultConfig()), DefaultCalibration())
 	if !errors.Is(err, errdefs.ErrMeasureTimeout) {
 		t.Fatalf("err = %v, want ErrMeasureTimeout", err)
@@ -191,12 +206,8 @@ func TestCalibrateResilientCancelled(t *testing.T) {
 }
 
 func TestCalibrateResilientRejectsNil(t *testing.T) {
-	if _, _, err := CalibrateResilient(context.Background(), nil,
-		pcie.NewBus(pcie.DefaultConfig()), DefaultCalibration()); !errors.Is(err, errdefs.ErrInvalidInput) {
-		t.Errorf("nil meter: err = %v, want ErrInvalidInput", err)
-	}
-	if _, _, err := CalibrateResilient(context.Background(), newMeter(t),
-		nil, DefaultCalibration()); !errors.Is(err, errdefs.ErrInvalidInput) {
-		t.Errorf("nil source: err = %v, want ErrInvalidInput", err)
+	if _, err := CalibrateTwoPoint(context.Background(), nil,
+		DefaultCalibration(), &Health{}); !errors.Is(err, errdefs.ErrInvalidInput) {
+		t.Errorf("nil sampler: err = %v, want ErrInvalidInput", err)
 	}
 }

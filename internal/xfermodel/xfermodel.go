@@ -185,39 +185,6 @@ func (c CalibrationConfig) Grid(def []int64) []int64 {
 	return def
 }
 
-// CalibrateTwoPoint derives a BusModel from bus using the paper's
-// two-measurement scheme, independently per direction. This is the
-// procedure GROPHECY++ runs automatically on each new system.
-func CalibrateTwoPoint(bus *pcie.Bus, cfg CalibrationConfig) (BusModel, error) {
-	if err := cfg.Validate(); err != nil {
-		return BusModel{}, err
-	}
-	bm := BusModel{Kind: cfg.Kind}
-	for d := 0; d < pcie.NumDirections; d++ {
-		dir := pcie.Direction(d)
-		tSmall, err := bus.MeasureMean(dir, cfg.Kind, cfg.SmallSize, cfg.Runs)
-		if err != nil {
-			return BusModel{}, fmt.Errorf("xfermodel: %v small point: %w", dir, err)
-		}
-		tLarge, err := bus.MeasureMean(dir, cfg.Kind, cfg.LargeSize, cfg.Runs)
-		if err != nil {
-			return BusModel{}, fmt.Errorf("xfermodel: %v large point: %w", dir, err)
-		}
-		bm.Dir[d] = Model{
-			Alpha: tSmall,
-			Beta:  tLarge / float64(cfg.LargeSize),
-		}
-		bm.CalibrationCost += float64(cfg.Runs) * (tSmall + tLarge)
-		bm.CalibrationTransfers += 2 * cfg.Runs
-	}
-	if !bm.Valid() {
-		return BusModel{}, fmt.Errorf("%w: two-point calibration produced implausible parameters",
-			errdefs.ErrCalibrationFailed)
-	}
-	mCalibrations.Inc()
-	return bm, nil
-}
-
 // Point is one measured calibration point.
 type Point struct {
 	// Time is the estimated time of one transfer, in seconds.
@@ -230,9 +197,9 @@ type Point struct {
 
 // Sampler measures one calibration point under some measurement
 // protocol: MeanSampler is the paper's raw mean, RobustSampler the
-// resilient meter. The grid-based schemes (least-squares, piecewise)
-// take one, so every backend honours whichever protocol its machine
-// selects.
+// resilient meter. Every calibration scheme (two-point, least-squares,
+// piecewise) takes one, so every backend honours whichever protocol
+// its machine selects.
 type Sampler func(dir pcie.Direction, kind pcie.MemoryKind, size int64) (Point, error)
 
 // MeanSampler is the paper's protocol: the arithmetic mean of runs

@@ -15,7 +15,7 @@ import (
 func calibrated(t *testing.T) (*pcie.Bus, BusModel) {
 	t.Helper()
 	bus := pcie.NewBus(pcie.DefaultConfig())
-	bm, err := CalibrateTwoPoint(bus, DefaultCalibration())
+	bm, err := twoPoint(bus, DefaultCalibration())
 	if err != nil {
 		t.Fatalf("calibration failed: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestCalibrationCostAccounting(t *testing.T) {
 
 func TestCalibrateRejectsBadConfig(t *testing.T) {
 	bus := pcie.NewBus(pcie.DefaultConfig())
-	if _, err := CalibrateTwoPoint(bus, CalibrationConfig{}); err == nil {
+	if _, err := twoPoint(bus, CalibrationConfig{}); err == nil {
 		t.Error("zero config accepted")
 	}
 	if _, err := CalibrateLeastSquares(MeanSampler(bus, 0), CalibrationConfig{}, []int64{1, 2}); err == nil {
@@ -225,7 +225,7 @@ func TestLeastSquaresComparableToTwoPoint(t *testing.T) {
 	cfg := pcie.DefaultConfig()
 	busA := pcie.NewBus(cfg)
 	busB := pcie.NewBus(cfg)
-	two, err := CalibrateTwoPoint(busA, DefaultCalibration())
+	two, err := twoPoint(busA, DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
