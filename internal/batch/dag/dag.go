@@ -166,11 +166,6 @@ func (g *Graph) HasEdges() bool { return g.hasEdges }
 // non-empty edge-free batch, 0 for an empty graph.
 func (g *Graph) Depth() int { return g.depth }
 
-// Order returns a copy of the deterministic emission order.
-func (g *Graph) Order() []int {
-	return append([]int(nil), g.order...)
-}
-
 // Parents returns a copy of job i's direct dependencies, in
 // declaration order.
 func (g *Graph) Parents(i int) []int {

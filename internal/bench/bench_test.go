@@ -45,7 +45,11 @@ func planFor(t *testing.T, name, size string) datausage.Plan {
 	t.Helper()
 	for _, w := range MustAll() {
 		if w.Name == name && w.DataSize == size {
-			return datausage.MustAnalyze(w.Seq, w.Hints)
+			plan, err := datausage.Analyze(w.Seq, w.Hints)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plan
 		}
 	}
 	t.Fatalf("workload %s %s not found", name, size)
@@ -146,8 +150,14 @@ func TestTransferPlansIndependentOfIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := datausage.MustAnalyze(w.Seq, w.Hints)
-	p9 := datausage.MustAnalyze(w.Seq.WithIterations(9), w.Hints)
+	p1, err := datausage.Analyze(w.Seq, w.Hints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p9, err := datausage.Analyze(w.Seq.WithIterations(9), w.Hints)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p1.TotalBytes() != p9.TotalBytes() {
 		t.Error("plan depends on iteration count")
 	}

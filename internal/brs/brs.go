@@ -20,7 +20,6 @@ package brs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"grophecy/internal/metrics"
@@ -397,12 +396,6 @@ func (st *Set) Covers(s Section) bool {
 	return ok && cur.Contains(s)
 }
 
-// OverlapsAny reports whether the set's section for s's array overlaps s.
-func (st *Set) OverlapsAny(s Section) bool {
-	cur, ok := st.byArray[s.Array]
-	return ok && cur.Overlaps(s)
-}
-
 // Section returns the merged section for array a, if any.
 func (st *Set) Section(a *skeleton.Array) (Section, bool) {
 	s, ok := st.byArray[a]
@@ -415,14 +408,6 @@ func (st *Set) Sections() []Section {
 	for _, a := range st.order {
 		out = append(out, st.byArray[a])
 	}
-	return out
-}
-
-// SortedSections returns the merged sections ordered by array name,
-// for deterministic reporting.
-func (st *Set) SortedSections() []Section {
-	out := st.Sections()
-	sort.Slice(out, func(i, j int) bool { return out[i].Array.Name < out[j].Array.Name })
 	return out
 }
 

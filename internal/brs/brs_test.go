@@ -123,7 +123,7 @@ func TestFromAccessHaloClamped(t *testing.T) {
 
 func TestFromAccessStride(t *testing.T) {
 	a := skeleton.NewArray("v", skeleton.Float32, 128)
-	s := FromAccess(skeleton.LoadOf(a, skeleton.IdxScaled("i", 2, 0)),
+	s := FromAccess(skeleton.LoadOf(a, skeleton.IndexExpr{Coeffs: map[string]int64{"i": 2}}),
 		[]skeleton.Loop{skeleton.ParLoop("i", 64)})
 	if s.Bounds[0] != (Bound{0, 126, 2}) {
 		t.Errorf("bound = %+v", s.Bounds[0])
@@ -149,7 +149,7 @@ func TestFromAccessMultiVarFlattened(t *testing.T) {
 	// (gcd of 16 and 1).
 	a := skeleton.NewArray("v", skeleton.Float32, 128)
 	loops := []skeleton.Loop{skeleton.ParLoop("i", 8), skeleton.ParLoop("j", 16)}
-	s := FromAccess(skeleton.LoadOf(a, skeleton.IdxSum("i", 16, "j", 1, 0)), loops)
+	s := FromAccess(skeleton.LoadOf(a, skeleton.IndexExpr{Coeffs: map[string]int64{"i": 16, "j": 1}}), loops)
 	if s.Bounds[0] != (Bound{0, 127, 1}) {
 		t.Errorf("bound = %+v", s.Bounds[0])
 	}

@@ -104,15 +104,6 @@ var defaultEngine = func() *Engine {
 // stages in order.
 func DefaultEngine() *Engine { return defaultEngine }
 
-// StageNames lists the engine's stages in execution order.
-func (e *Engine) StageNames() []string {
-	names := make([]string, len(e.stages))
-	for i, s := range e.stages {
-		names[i] = s.Name()
-	}
-	return names
-}
-
 // Evaluate runs the staged pipeline on one workload with the given
 // projector. It owns the evaluation-level observability — the
 // "evaluate" span whose simulated clock advances by the projected GPU

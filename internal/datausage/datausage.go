@@ -285,12 +285,3 @@ func AnalyzeOpt(seq *skeleton.Sequence, hints Hints, opts Options) (Plan, error)
 	mPlannedBytes.Add(plan.TotalBytes())
 	return plan, nil
 }
-
-// MustAnalyze is Analyze for known-good skeletons; it panics on error.
-func MustAnalyze(seq *skeleton.Sequence, hints Hints) Plan {
-	plan, err := Analyze(seq, hints)
-	if err != nil {
-		panic(err)
-	}
-	return plan
-}

@@ -100,13 +100,6 @@ func Corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorruptSnapshot, fmt.Sprintf(format, args...))
 }
 
-// IsCorruptSnapshot reports whether err marks a snapshot that failed
-// integrity verification.
-func IsCorruptSnapshot(err error) bool { return errors.Is(err, ErrCorruptSnapshot) }
-
-// IsCircuitOpen reports whether err marks a breaker rejection.
-func IsCircuitOpen(err error) bool { return errors.Is(err, ErrCircuitOpen) }
-
 // Skippedf returns a dependency-skip error wrapping ErrSkipped.
 func Skippedf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrSkipped, fmt.Sprintf(format, args...))

@@ -45,9 +45,6 @@ func TestCorruptfWraps(t *testing.T) {
 	if !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("err = %v, not ErrCorruptSnapshot", err)
 	}
-	if !IsCorruptSnapshot(err) {
-		t.Error("IsCorruptSnapshot false for a corrupt-snapshot error")
-	}
 	if got := err.Error(); got != "corrupt snapshot: checksum mismatch in abc.snap" {
 		t.Errorf("message = %q", got)
 	}
@@ -56,19 +53,19 @@ func TestCorruptfWraps(t *testing.T) {
 func TestNewSentinelsSeeThroughWrapping(t *testing.T) {
 	corrupt := fmt.Errorf("loading snapshot dir: %w",
 		fmt.Errorf("entry 3: %w", Corruptf("truncated payload")))
-	if !IsCorruptSnapshot(corrupt) {
-		t.Error("IsCorruptSnapshot false through a two-level wrap")
+	if !errors.Is(corrupt, ErrCorruptSnapshot) {
+		t.Error("ErrCorruptSnapshot not seen through a two-level wrap")
 	}
 	open := fmt.Errorf("projector for key %s: %w", "c2050-pcie3",
 		fmt.Errorf("%w: 3 consecutive failures", ErrCircuitOpen))
-	if !IsCircuitOpen(open) {
-		t.Error("IsCircuitOpen false through a two-level wrap")
+	if !errors.Is(open, ErrCircuitOpen) {
+		t.Error("ErrCircuitOpen not seen through a two-level wrap")
 	}
-	if IsCorruptSnapshot(open) || IsCircuitOpen(corrupt) {
+	if errors.Is(open, ErrCorruptSnapshot) || errors.Is(corrupt, ErrCircuitOpen) {
 		t.Error("new sentinels match each other through wrapping")
 	}
-	if IsCircuitOpen(nil) || IsCorruptSnapshot(nil) {
-		t.Error("new sentinel predicates true for nil")
+	if errors.Is(nil, ErrCircuitOpen) || errors.Is(nil, ErrCorruptSnapshot) {
+		t.Error("new sentinels match nil")
 	}
 }
 

@@ -62,7 +62,7 @@ func TestEmptyPlanIsBitIdenticalPassthrough(t *testing.T) {
 			g.in},
 	}
 	for _, s := range surfaces {
-		noise := s.in.noise.State()
+		noise := *s.in.noise
 		for i := 0; i < 200; i++ {
 			a, errA := s.raw()
 			b, errB := s.wrapped()
@@ -76,7 +76,7 @@ func TestEmptyPlanIsBitIdenticalPassthrough(t *testing.T) {
 		if st := s.in.snapshot(); st != (Stats{}) {
 			t.Errorf("%s: empty plan accumulated stats %+v", s.name, st)
 		}
-		if s.in.noise.State() != noise {
+		if *s.in.noise != noise {
 			t.Errorf("%s: empty plan consumed its fault stream", s.name)
 		}
 	}
@@ -194,7 +194,7 @@ func TestTransientPreservesInnerNoiseStream(t *testing.T) {
 func TestOutlierBurstScalesRuns(t *testing.T) {
 	plan := Plan{OutlierProb: 0.2, OutlierScale: 100, OutlierBurst: 3, Seed: 7}
 	b := NewBus(testBus(), plan)
-	base, err := b.Inner().BaseTime(pcie.HostToDevice, pcie.Pinned, units.MB)
+	base, err := b.inner.BaseTime(pcie.HostToDevice, pcie.Pinned, units.MB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestOutlierBurstScalesRuns(t *testing.T) {
 func TestSlowEpisodePhase(t *testing.T) {
 	plan := Plan{SlowPeriod: 10, SlowLength: 2, SlowFactor: 50, Seed: 3}
 	b := NewBus(testBus(), plan)
-	base, err := b.Inner().BaseTime(pcie.HostToDevice, pcie.Pinned, units.MB)
+	base, err := b.inner.BaseTime(pcie.HostToDevice, pcie.Pinned, units.MB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,16 +145,6 @@ func (a Arch) Occupancy(blockSize, regsPerThread int, shmemPerBlock int64) Occup
 	return Occupancy{BlocksPerSM: best, WarpsPerSM: warps, Limiter: limiter}
 }
 
-// MaxWarpsPerSM returns the architecture's warp-occupancy ceiling.
-func (a Arch) MaxWarpsPerSM() int { return a.MaxThreadsPerSM / a.WarpSize }
-
-// PeakGFLOPS returns the theoretical single-precision peak assuming
-// one fused multiply-add per SP per cycle (2 flops).
-func (a Arch) PeakGFLOPS() float64 {
-	spsPerSM := float64(a.WarpSize) / a.IssueCyclesPerWarpInst
-	return float64(a.SMs) * spsPerSM * a.CoreClock * 2 / 1e9
-}
-
 // QuadroFX5600 returns the paper's evaluation GPU: an NVIDIA Quadro
 // FX 5600 (G80 architecture, CUDA compute capability 1.0): 16 SMs of
 // 8 SPs at 1.35 GHz, 76.8 GB/s of GDDR3 bandwidth, 16 KB shared

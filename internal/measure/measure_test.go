@@ -291,7 +291,8 @@ func TestBackoffCapAndDeterminism(t *testing.T) {
 
 func TestMeasureTransferAgainstFaultyBus(t *testing.T) {
 	plan := fault.Plan{TransientProb: 0.1, OutlierProb: 0.05, OutlierScale: 20, Seed: 11}
-	src := fault.NewBus(pcie.NewBus(pcie.DefaultConfig()), plan)
+	bus := pcie.NewBus(pcie.DefaultConfig())
+	src := fault.NewBus(bus, plan)
 	m := mustMeter(t, DefaultConfig())
 
 	res, err := m.MeasureTransfer(context.Background(), src, pcie.HostToDevice, pcie.Pinned, units.MB)
@@ -303,7 +304,7 @@ func TestMeasureTransferAgainstFaultyBus(t *testing.T) {
 	}
 	// The trimmed mean should sit near the clean transfer time even
 	// with 20x outliers in the stream.
-	clean, err := src.Inner().BaseTime(pcie.HostToDevice, pcie.Pinned, units.MB)
+	clean, err := bus.BaseTime(pcie.HostToDevice, pcie.Pinned, units.MB)
 	if err != nil {
 		t.Fatal(err)
 	}

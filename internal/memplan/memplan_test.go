@@ -163,7 +163,10 @@ func TestRepeatedLargeTransferPrefersPinned(t *testing.T) {
 func TestPlannedNeverWorseThanEitherPolicy(t *testing.T) {
 	ms := calibratedModels(t)
 	for _, w := range bench.MustAll() {
-		tp := datausage.MustAnalyze(w.Seq, w.Hints)
+		tp, err := datausage.Analyze(w.Seq, w.Hints)
+		if err != nil {
+			t.Fatal(err)
+		}
 		plan, err := Build(tp, ms)
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +196,11 @@ func TestStassuijPlannerChoices(t *testing.T) {
 	//     the costs must be within ~15% of each other.
 	ms := calibratedModels(t)
 	w := bench.Stassuij()
-	plan, err := Build(datausage.MustAnalyze(w.Seq, w.Hints), ms)
+	tp, err := datausage.Analyze(w.Seq, w.Hints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Build(tp, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +233,11 @@ func TestBuildRejectsInvalidModels(t *testing.T) {
 func TestPlanString(t *testing.T) {
 	ms := calibratedModels(t)
 	w := bench.Stassuij()
-	plan, err := Build(datausage.MustAnalyze(w.Seq, w.Hints), ms)
+	tp, err := datausage.Analyze(w.Seq, w.Hints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Build(tp, ms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,14 +300,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// BucketCounts returns the per-bucket (non-cumulative) counts, the
-// last entry being the +Inf bucket.
-func (h *Histogram) BucketCounts() []int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]int64(nil), h.counts...)
-}
-
 func (h *Histogram) metricName() string { return h.name }
 func (h *Histogram) metricHelp() string { return h.help }
 func (h *Histogram) metricType() string { return "histogram" }
@@ -373,29 +365,6 @@ func (r *Registry) Dump() string {
 		in.writeValues(&b)
 	}
 	return b.String()
-}
-
-// Reset zeroes every instrument's value (registrations stay). Tests
-// and repeated CLI invocations use it to start from a clean slate.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, in := range r.ins {
-		switch m := in.(type) {
-		case *Counter:
-			m.v.Store(0)
-		case *Gauge:
-			m.Set(0)
-		case *Histogram:
-			m.mu.Lock()
-			for i := range m.counts {
-				m.counts[i] = 0
-			}
-			m.exemplars = nil
-			m.sum, m.n = 0, 0
-			m.mu.Unlock()
-		}
-	}
 }
 
 // formatFloat renders floats with the shortest round-trip form, the

@@ -87,14 +87,6 @@ func (s *SnapshotState) SetLoaded(path string, entries, stale, quarantined int, 
 	s.loadDur = loadDur
 }
 
-// AddQuarantined bumps the quarantined-file count for damage found
-// after boot.
-func (s *SnapshotState) AddQuarantined(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.quarantined += n
-}
-
 // Summary returns a one-line human description for /readyz, or ""
 // when the store is disabled.
 func (s *SnapshotState) Summary() string {

@@ -135,7 +135,10 @@ func TestSinglePhaseMatchesDatausage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := datausage.MustAnalyze(seq, datausage.Hints{})
+	local, err := datausage.Analyze(seq, datausage.Hints{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if plan.UploadBytes() != local.UploadBytes() {
 		t.Errorf("uploads %d vs %d", plan.UploadBytes(), local.UploadBytes())
 	}

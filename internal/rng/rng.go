@@ -23,16 +23,6 @@ func New(seed uint64) *Stream {
 	return &Stream{state: seed}
 }
 
-// State returns the stream's current internal state. Together with
-// SetState it lets a caller snapshot a stream at a known point (e.g.
-// right after transfer-model calibration) and later fast-forward a
-// freshly seeded stream to that exact point, reproducing the draw
-// sequence bit for bit without replaying the draws.
-func (s *Stream) State() uint64 { return s.state }
-
-// SetState restores a state previously captured with State.
-func (s *Stream) SetState(state uint64) { s.state = state }
-
 // Uint64 returns the next 64 uniformly random bits.
 func (s *Stream) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
@@ -91,11 +81,4 @@ func (s *Stream) Exponential(mean float64) float64 {
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool {
 	return s.Float64() < p
-}
-
-// Fork returns a new Stream whose seed is derived from this stream.
-// Use it to hand independent sub-streams to components without manual
-// seed bookkeeping.
-func (s *Stream) Fork() *Stream {
-	return New(s.Uint64())
 }

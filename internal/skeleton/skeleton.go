@@ -189,19 +189,8 @@ func IdxPlus(v string, c int64) IndexExpr {
 	return IndexExpr{Coeffs: map[string]int64{v: 1}, Const: c}
 }
 
-// IdxScaled returns "a*v + c".
-func IdxScaled(v string, a, c int64) IndexExpr {
-	return IndexExpr{Coeffs: map[string]int64{v: a}, Const: c}
-}
-
 // IdxConst returns the constant expression "c".
 func IdxConst(c int64) IndexExpr { return IndexExpr{Const: c} }
-
-// IdxSum returns "a1*v1 + a2*v2 + c" for a two-variable affine index
-// (e.g. row*width + col flattened indexing).
-func IdxSum(v1 string, a1 int64, v2 string, a2, c int64) IndexExpr {
-	return IndexExpr{Coeffs: map[string]int64{v1: a1, v2: a2}, Const: c}
-}
 
 // IdxIrregular returns an irregular (data-dependent) index.
 func IdxIrregular() IndexExpr { return IndexExpr{Irregular: true} }
@@ -567,11 +556,6 @@ func (k *Kernel) SequentialIterations() int64 {
 	return n
 }
 
-// TotalIterations returns the total dynamic iteration count.
-func (k *Kernel) TotalIterations() int64 {
-	return k.ParallelIterations() * k.SequentialIterations()
-}
-
 // FlopsPerThread sums flop counts per GPU thread, accounting for each
 // statement's execution depth.
 func (k *Kernel) FlopsPerThread() int64 {
@@ -580,11 +564,6 @@ func (k *Kernel) FlopsPerThread() int64 {
 		n += int64(s.Flops) * k.ExecsPerThread(s)
 	}
 	return n
-}
-
-// TotalFlops returns flops across the whole iteration space.
-func (k *Kernel) TotalFlops() int64 {
-	return k.ParallelIterations() * k.FlopsPerThread()
 }
 
 // Accesses returns all accesses of the body in order.
@@ -628,17 +607,6 @@ func (k *Kernel) Loop(v string) (Loop, bool) {
 		}
 	}
 	return Loop{}, false
-}
-
-// ArithmeticIntensity returns flops per byte of global traffic under
-// the no-reuse assumption — the quantity that decides memory- vs
-// compute-bound on the roofline.
-func (k *Kernel) ArithmeticIntensity() float64 {
-	bytes := k.LoadBytesPerThread() + k.StoreBytesPerThread()
-	if bytes == 0 {
-		return 0
-	}
-	return float64(k.FlopsPerThread()) / float64(bytes)
 }
 
 // Sequence is an ordered list of kernels offloaded to the GPU as a

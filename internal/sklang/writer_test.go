@@ -49,8 +49,14 @@ func TestFormatBuiltinsRoundTrip(t *testing.T) {
 		assertEquivalent(t, w, back)
 
 		// Transfer plans must match exactly.
-		origPlan := datausage.MustAnalyze(w.Seq, w.Hints)
-		backPlan := datausage.MustAnalyze(back.Seq, back.Hints)
+		origPlan, err := datausage.Analyze(w.Seq, w.Hints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backPlan, err := datausage.Analyze(back.Seq, back.Hints)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if origPlan.UploadBytes() != backPlan.UploadBytes() ||
 			origPlan.DownloadBytes() != backPlan.DownloadBytes() ||
 			origPlan.TransferCount() != backPlan.TransferCount() {
@@ -121,11 +127,11 @@ func TestFormatIndexForms(t *testing.T) {
 		{skeleton.Idx("i"), "i"},
 		{skeleton.IdxPlus("i", -1), "i-1"},
 		{skeleton.IdxPlus("i", 2), "i+2"},
-		{skeleton.IdxScaled("j", 2, 0), "2*j"},
-		{skeleton.IdxScaled("j", -1, 0), "-j"},
+		{skeleton.IndexExpr{Coeffs: map[string]int64{"j": 2}}, "2*j"},
+		{skeleton.IndexExpr{Coeffs: map[string]int64{"j": -1}}, "-j"},
 		{skeleton.IdxConst(0), "0"},
 		{skeleton.IdxConst(-3), "-3"},
-		{skeleton.IdxSum("i", 16, "j", 1, 0), "16*i+j"},
+		{skeleton.IndexExpr{Coeffs: map[string]int64{"i": 16, "j": 1}}, "16*i+j"},
 		{skeleton.IdxIrregular(), "?"},
 	}
 	for _, c := range cases {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if !reflect.DeepEqual(again, e) {
 			t.Errorf("round trip diverged: %+v vs %+v", again, e)
 		}
-		if errdefs.IsCorruptSnapshot(err) {
+		if errors.Is(err, errdefs.ErrCorruptSnapshot) {
 			t.Error("nil error classified as corrupt")
 		}
 	})

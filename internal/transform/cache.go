@@ -160,16 +160,6 @@ func SetCacheEnabled(on bool) bool {
 	return prev
 }
 
-// ResetCache drops every cached entry and zeroes the hit/miss
-// counters, leaving the enabled flag as is.
-func ResetCache() {
-	enumCache.mu.Lock()
-	defer enumCache.mu.Unlock()
-	enumCache.entries = make(map[string]*entry)
-	enumCache.order = nil
-	enumCache.hits, enumCache.misses = 0, 0
-}
-
 // cloneVariants returns a defensive copy: cached variant slices are
 // immutable, callers own their return values.
 func cloneVariants(vs []Variant) []Variant {

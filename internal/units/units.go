@@ -82,12 +82,6 @@ func FormatSeconds(s float64) string {
 	}
 }
 
-// MiB returns n mebibytes as a byte count.
-func MiB(n float64) int64 { return int64(n * float64(MB)) }
-
-// BytesToMB converts a byte count to mebibytes as a float.
-func BytesToMB(n int64) float64 { return float64(n) / float64(MB) }
-
 // GBps converts a bandwidth in GB/s (decimal gigabytes, as quoted in
 // hardware data sheets and the paper) to bytes per second.
 func GBps(gb float64) float64 { return gb * 1e9 }
