@@ -122,6 +122,7 @@ fuzz-short:
 	$(GO) test -run=xxx -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/
 	$(GO) test -run=xxx -fuzz=FuzzTraceparent -fuzztime=10s ./internal/trace/
 	$(GO) test -run=xxx -fuzz=FuzzProjectRequest -fuzztime=10s ./cmd/grophecyd/
+	$(GO) test -run=xxx -fuzz=FuzzBatchRequest -fuzztime=10s ./cmd/grophecyd/
 
 fmt:
 	gofmt -w .

@@ -172,8 +172,13 @@ func (s *server) resolve(j batchJob) resolvedJob {
 		r.err = errdefs.Invalidf("batch job: skeleton and workload are mutually exclusive")
 	case j.Skeleton != "":
 		wl, err := sklang.Parse(j.Skeleton)
-		if errors.Is(err, sklang.ErrNotWorkload) {
+		switch {
+		case errors.Is(err, sklang.ErrNotWorkload):
 			err = errdefs.Invalidf("batch job: multi-phase program files are not supported")
+		case err != nil:
+			// Like POST /project: a source that does not parse is the
+			// client's error.
+			err = fmt.Errorf("%w: %w", errdefs.ErrInvalidInput, err)
 		}
 		r.wl, r.src, r.err = wl, j.Skeleton, err
 		if j.Size != "" && r.err == nil {

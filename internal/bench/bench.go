@@ -20,11 +20,10 @@
 package bench
 
 import (
-	"fmt"
-
 	"grophecy/internal/core"
 	"grophecy/internal/cpumodel"
 	"grophecy/internal/datausage"
+	"grophecy/internal/errdefs"
 	"grophecy/internal/skeleton"
 )
 
@@ -43,7 +42,7 @@ var cfdElements = map[string]int64{
 func CFD(size string) (core.Workload, error) {
 	n, ok := cfdElements[size]
 	if !ok {
-		return core.Workload{}, fmt.Errorf("bench: unknown CFD size %q (want one of %v)", size, CFDSizes())
+		return core.Workload{}, errdefs.Invalidf("bench: unknown CFD size %q (want one of %v)", size, CFDSizes())
 	}
 
 	// Input arrays (16 floats' worth per element -> 6.2 MB at 97K,
@@ -179,7 +178,7 @@ var hotspotDims = map[string]int64{
 func HotSpot(size string) (core.Workload, error) {
 	n, ok := hotspotDims[size]
 	if !ok {
-		return core.Workload{}, fmt.Errorf("bench: unknown HotSpot size %q (want one of %v)", size, HotSpotSizes())
+		return core.Workload{}, errdefs.Invalidf("bench: unknown HotSpot size %q (want one of %v)", size, HotSpotSizes())
 	}
 
 	// Inputs: temperature grid + power grid (2 x 4 B/cell -> 8 MB at
@@ -243,7 +242,7 @@ var sradDims = map[string]int64{
 func SRAD(size string) (core.Workload, error) {
 	n, ok := sradDims[size]
 	if !ok {
-		return core.Workload{}, fmt.Errorf("bench: unknown SRAD size %q (want one of %v)", size, SRADSizes())
+		return core.Workload{}, errdefs.Invalidf("bench: unknown SRAD size %q (want one of %v)", size, SRADSizes())
 	}
 
 	// Input and output: the image itself (4 B/pixel each way ->
