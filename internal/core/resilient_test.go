@@ -11,6 +11,7 @@ import (
 	"grophecy/internal/bench"
 	"grophecy/internal/core"
 	"grophecy/internal/fault"
+	"grophecy/internal/trace"
 )
 
 const machineSeed = 42
@@ -206,5 +207,38 @@ func TestRestoreMatchesLiveUnderFaults(t *testing.T) {
 				t.Errorf("fault stats diverged: live %v, restored %v", m.Faults.Stats(), m2.Faults.Stats())
 			}
 		})
+	}
+}
+
+// TestCalibrationOpensOneSpan: every projector calibration opens
+// exactly one xfermodel.calibrate span, naming its backend, for every
+// backend on a clean and on an armed machine.
+func TestCalibrationOpensOneSpan(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		for _, bk := range backend.Default.Names() {
+			m := core.NewMachine(machineSeed)
+			if armed {
+				m.ArmFaults(acceptancePlan())
+			}
+			tr := trace.New("test")
+			if _, err := core.New(trace.With(context.Background(), tr), m, core.Options{Backend: bk}); err != nil {
+				t.Fatal(err)
+			}
+			tr.Close()
+			var spans []string
+			tr.Walk(func(s *trace.Span, _ int) {
+				if s.Name() != "xfermodel.calibrate" {
+					return
+				}
+				for _, a := range s.Attrs() {
+					if a.Key == "backend" {
+						spans = append(spans, a.Value)
+					}
+				}
+			})
+			if len(spans) != 1 || spans[0] != bk {
+				t.Errorf("%s (armed %v): calibrate spans with backends %q, want exactly [%s]", bk, armed, spans, bk)
+			}
+		}
 	}
 }
