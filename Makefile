@@ -8,7 +8,7 @@ GO ?= go
 COVER_BASELINE ?= 78.0
 COVER_PROFILE  ?= out/cover.out
 
-.PHONY: all check build test vet race cover bench bench-json bench-gate smoke smoke-chaos outputs-ab paper csv examples fuzz fuzz-short fmt clean
+.PHONY: all check build test vet race cover bench bench-json bench-gate bench-ab smoke smoke-chaos outputs-ab paper csv examples fuzz fuzz-short fmt clean
 
 all: check
 
@@ -59,6 +59,18 @@ bench-gate:
 	@mkdir -p out
 	$(GO) test -run='^$$' -bench='$(GATE_BENCH)' -benchmem -count=5 ./... | $(GO) run ./cmd/benchjson > out/bench-gate.json
 	$(GO) run ./cmd/benchjson diff $(BENCH_BASELINE) out/bench-gate.json
+
+# Interleaved same-host A/B against revision BASE: build both sides'
+# test binaries, run AB_BENCH (the gated benchmarks plus the warm
+# /project path's) PAIRS times each, -count=1, alternating which side
+# goes first, and print per benchmark the medians and quartiles of
+# ns/op and allocs/op and the pairs won. Not part of check, because it
+# needs a BASE: `make bench-ab BASE=HEAD~1`. scripts/bench-ab.sh lists
+# its other settings (PAIRS, BENCHTIME, CARRY).
+AB_BENCH = ^Benchmark(EndToEndProjection|EndToEndProjectionTelemetry|TelemetryOverhead|Enumerate|Union|Intersect|TransferPinned|TransferPageable|Fig2TransferSweep|BackendDispatch|ProjectWarm|ParsePaperWorkloads|ReportJSON)$$
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
+	BENCH='$(AB_BENCH)' bash scripts/bench-ab.sh $(BASE)
 
 # End-to-end daemon smoke test: build grophecyd, start it on an
 # ephemeral port, project a skeleton over HTTP, check the metrics
@@ -118,6 +130,7 @@ fuzz:
 # 10 seconds per fuzz target — quick pre-commit confidence pass.
 fuzz-short:
 	$(GO) test -run=xxx -fuzz=FuzzParse -fuzztime=10s ./internal/sklang/
+	$(GO) test -run=xxx -fuzz=FuzzLexMatchesReference -fuzztime=10s ./internal/sklang/
 	$(GO) test -run=xxx -fuzz=FuzzChromeJSON -fuzztime=10s ./internal/trace/
 	$(GO) test -run=xxx -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/
 	$(GO) test -run=xxx -fuzz=FuzzTraceparent -fuzztime=10s ./internal/trace/

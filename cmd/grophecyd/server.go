@@ -8,6 +8,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -553,7 +554,7 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 		writeError(w, status, err)
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxSkeletonBytes))
+	body, err := readBody(http.MaxBytesReader(w, req.Body, maxSkeletonBytes), req.ContentLength)
 	if err != nil {
 		fail(http.StatusBadRequest, fmt.Errorf("reading skeleton body: %w", err))
 		return
@@ -570,15 +571,16 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
+	query := req.URL.Query()
 	seed := s.cfg.Seed
-	if qs := req.URL.Query().Get("seed"); qs != "" {
+	if qs := query.Get("seed"); qs != "" {
 		seed, err = strconv.ParseUint(qs, 10, 64)
 		if err != nil {
 			fail(http.StatusBadRequest, fmt.Errorf("bad seed %q: %w", qs, err))
 			return
 		}
 	}
-	if qi := req.URL.Query().Get("iters"); qi != "" {
+	if qi := query.Get("iters"); qi != "" {
 		n, err := strconv.Atoi(qi)
 		if err != nil || n < 1 {
 			fail(http.StatusBadRequest, fmt.Errorf("bad iteration count %q", qi))
@@ -587,7 +589,7 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 		wl = wl.WithIterations(n)
 	}
 	tgt := s.tgt
-	if qt := req.URL.Query().Get("target"); qt != "" {
+	if qt := query.Get("target"); qt != "" {
 		tgt, err = target.Lookup(qt)
 		if err != nil {
 			// target.Lookup's message lists the registered names.
@@ -596,7 +598,7 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	backendName := backend.DefaultName
-	if qb := req.URL.Query().Get("backend"); qb != "" {
+	if qb := query.Get("backend"); qb != "" {
 		b, err := backend.Get(qb)
 		if err != nil {
 			// backend.Get's message lists the registered names.
@@ -646,6 +648,18 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
+}
+
+// readBody reads r to EOF like io.ReadAll, into one buffer sized from
+// the request's Content-Length when it is known and within
+// maxSkeletonBytes, so a typical skeleton is read without regrowing.
+func readBody(r io.Reader, contentLength int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if contentLength > 0 && contentLength <= maxSkeletonBytes {
+		buf.Grow(int(contentLength) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // project runs one full evaluation on a machine private to this

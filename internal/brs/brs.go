@@ -20,7 +20,7 @@ package brs
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"grophecy/internal/metrics"
 	"grophecy/internal/skeleton"
@@ -130,11 +130,17 @@ func (b Bound) intersect(o Bound) (Bound, bool) {
 }
 
 // String implements fmt.Stringer, e.g. "0:1023" or "0:1022:2".
-func (b Bound) String() string {
-	if b.Stride == 1 {
-		return fmt.Sprintf("%d:%d", b.Lo, b.Hi)
+func (b Bound) String() string { return string(b.appendTo(nil)) }
+
+func (b Bound) appendTo(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, b.Lo, 10)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, b.Hi, 10)
+	if b.Stride != 1 {
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, b.Stride, 10)
 	}
-	return fmt.Sprintf("%d:%d:%d", b.Lo, b.Hi, b.Stride)
+	return dst
 }
 
 // Section is the bounded regular section of one array.
@@ -165,17 +171,14 @@ func FromAccess(ac skeleton.Access, loops []skeleton.Loop) Section {
 	if ac.Irregular() {
 		return WholeArray(ac.Array)
 	}
-	byVar := make(map[string]skeleton.Loop, len(loops))
-	for _, l := range loops {
-		byVar[l.Var] = l
-	}
 	bounds := make([]Bound, len(ac.Index))
 	for dim, e := range ac.Index {
 		lo, hi := e.Const, e.Const
 		stride := int64(0)
 		emptyLoop := false
-		for _, v := range e.Vars() {
-			l, ok := byVar[v]
+		var buf [4]string
+		for _, v := range e.AppendVars(buf[:0]) {
+			l, ok := loopOf(loops, v)
 			if !ok {
 				panic(fmt.Sprintf("brs: access %s references loop %q not in nest", ac.String(), v))
 			}
@@ -212,6 +215,16 @@ func FromAccess(ac skeleton.Access, loops []skeleton.Loop) Section {
 		bounds[dim] = Bound{Lo: lo, Hi: hi, Stride: stride}
 	}
 	return Section{Array: ac.Array, Bounds: bounds}
+}
+
+// loopOf returns the last loop over variable v, or false.
+func loopOf(loops []skeleton.Loop, v string) (skeleton.Loop, bool) {
+	for i := len(loops) - 1; i >= 0; i-- {
+		if loops[i].Var == v {
+			return loops[i], true
+		}
+	}
+	return skeleton.Loop{}, false
 }
 
 // Validate checks structural sanity.
@@ -349,16 +362,15 @@ func Intersect(a, b Section) (Section, bool) {
 // String implements fmt.Stringer, e.g. "temp[0:1023][0:1023]" or
 // "vals[*]" for whole-array sections.
 func (s Section) String() string {
-	var b strings.Builder
-	b.WriteString(s.Array.Name)
+	var buf [64]byte
+	dst := append(buf[:0], s.Array.Name...)
 	if s.Whole {
-		b.WriteString("[*]")
-		return b.String()
+		return string(append(dst, "[*]"...))
 	}
 	for _, bd := range s.Bounds {
-		fmt.Fprintf(&b, "[%s]", bd.String())
+		dst = append(bd.appendTo(append(dst, '[')), ']')
 	}
-	return b.String()
+	return string(dst)
 }
 
 // Set maintains one merged section per array — the UNION lists the

@@ -28,6 +28,7 @@ package datausage
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"grophecy/internal/brs"
@@ -83,9 +84,10 @@ func (t Transfer) Array() *skeleton.Array { return t.Section.Array }
 // Bytes returns the transfer size.
 func (t Transfer) Bytes() int64 { return t.Section.Bytes() }
 
-// String implements fmt.Stringer, e.g. "upload temp[0:1023][0:1023] (4MB)".
+// String implements fmt.Stringer, e.g.
+// "upload temp[0:1023][0:1023] (4194304 bytes)".
 func (t Transfer) String() string {
-	return fmt.Sprintf("%s %s (%d bytes)", t.Dir, t.Section, t.Bytes())
+	return t.Dir.String() + " " + t.Section.String() + " (" + strconv.FormatInt(t.Bytes(), 10) + " bytes)"
 }
 
 // Plan is the complete transfer plan for a kernel sequence.

@@ -98,9 +98,93 @@ func newJSONReport(r core.Report) jsonReport {
 }
 
 // JSON renders the report as indented JSON, including the derived
-// speedup and error figures.
+// speedup and error figures. The bytes are json.MarshalIndent's with
+// prefix "" and indent "  ".
 func JSON(r core.Report) ([]byte, error) {
-	return json.MarshalIndent(newJSONReport(r), "", "  ")
+	compact, err := json.Marshal(newJSONReport(r))
+	if err != nil {
+		return nil, err
+	}
+	return appendIndented(make([]byte, 0, 2*len(compact)), compact), nil
+}
+
+// appendIndented appends compact JSON (json.Marshal's output: no
+// space outside strings) to dst, indented the way
+// json.MarshalIndent(v, "", "  ") indents it, in one pass. Unlike
+// json.Indent it does not re-validate the input: it only tracks
+// strings, their escapes and bracket depth. An empty object or array
+// stays {} or [].
+func appendIndented(dst, src []byte) []byte {
+	depth := 0
+	open := false // just after '{' or '[': indent unless it closes
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if open && c != '}' && c != ']' {
+			open = false
+			depth++
+			dst = appendNewline(dst, depth)
+		}
+		switch c {
+		case '"':
+			// Copy the whole string: its closing quote is the first
+			// quote not escaped by a backslash.
+			j := i + 1
+			for ; j < len(src); j++ {
+				if src[j] == '\\' {
+					j++
+				} else if src[j] == '"' {
+					break
+				}
+			}
+			end := min(j+1, len(src))
+			dst = append(dst, src[i:end]...)
+			i = end - 1
+		case '{', '[':
+			open = true
+			dst = append(dst, c)
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		case '}', ']':
+			if open {
+				open = false
+			} else {
+				depth--
+				dst = appendNewline(dst, depth)
+			}
+			dst = append(dst, c)
+		default:
+			// A number or literal: copy it up to the next punctuation.
+			j := i + 1
+			for j < len(src) && !isPunct(src[j]) {
+				j++
+			}
+			dst = append(dst, src[i:j]...)
+			i = j - 1
+		}
+	}
+	return dst
+}
+
+// isPunct reports whether c is JSON punctuation or a quote: the bytes
+// that end a number or literal in compact JSON.
+func isPunct(c byte) bool {
+	switch c {
+	case '"', '{', '}', '[', ']', ',', ':':
+		return true
+	}
+	return false
+}
+
+// appendNewline appends a newline and depth levels of two-space
+// indent.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // CompactJSON renders the same JSON value as JSON on one line: its

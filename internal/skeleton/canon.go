@@ -22,7 +22,10 @@
 // different structures concatenate to the same bytes.
 package skeleton
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // AppendCanonical appends the canonical content encoding of the
 // expression: the constant, then each referenced variable with its
@@ -34,7 +37,8 @@ func (e IndexExpr) AppendCanonical(dst []byte) []byte {
 		return append(dst, "?|"...)
 	}
 	dst = strconv.AppendInt(dst, e.Const, 10)
-	for _, v := range e.Vars() {
+	var buf [4]string
+	for _, v := range e.AppendVars(buf[:0]) {
 		dst = append(dst, '+')
 		dst = strconv.AppendInt(dst, e.Coeffs[v], 10)
 		dst = append(dst, '*')
@@ -96,7 +100,8 @@ func (k *Kernel) AppendCanonical(dst []byte) []byte {
 	// reference inlines the content so renamed-but-identical arrays
 	// still encode differently, and repeated references to one object
 	// encode differently from references to two identical objects.
-	ids := make(map[*Array]int)
+	var idBuf [8]*Array
+	ids := idBuf[:0]
 
 	dst = append(dst, 'S')
 	dst = strconv.AppendInt(dst, int64(len(k.Stmts)), 10)
@@ -116,10 +121,11 @@ func (k *Kernel) AppendCanonical(dst []byte) []byte {
 			} else {
 				dst = append(dst, 's')
 			}
-			id, seen := ids[ac.Array]
+			id := slices.Index(ids, ac.Array)
+			seen := id >= 0
 			if !seen {
 				id = len(ids)
-				ids[ac.Array] = id
+				ids = append(ids, ac.Array)
 			}
 			dst = strconv.AppendInt(dst, int64(id), 10)
 			if !seen {

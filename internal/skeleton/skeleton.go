@@ -28,7 +28,7 @@ package skeleton
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -204,14 +204,21 @@ func (e IndexExpr) Coeff(v string) int64 { return e.Coeffs[v] }
 
 // Vars returns the referenced loop variables in sorted order.
 func (e IndexExpr) Vars() []string {
-	vars := make([]string, 0, len(e.Coeffs))
+	return e.AppendVars(make([]string, 0, len(e.Coeffs)))
+}
+
+// AppendVars appends the referenced loop variables to dst in sorted
+// order. With dst backed by a caller's stack array, listing an
+// expression's variables does not allocate.
+func (e IndexExpr) AppendVars(dst []string) []string {
+	n := len(dst)
 	for v, c := range e.Coeffs {
 		if c != 0 {
-			vars = append(vars, v)
+			dst = append(dst, v)
 		}
 	}
-	sort.Strings(vars)
-	return vars
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // String implements fmt.Stringer, e.g. "i+1", "2*j", "?" (irregular).
@@ -431,7 +438,8 @@ type Kernel struct {
 
 // Validate checks kernel structure: non-empty, valid loops and
 // statements, unique loop variables, parallel-outside-sequential, and
-// all index expressions referencing declared loop variables.
+// all index expressions referencing declared loop variables. It scans
+// k.Loops instead of building sets, so validating does not allocate.
 func (k *Kernel) Validate() error {
 	if k.Name == "" {
 		return fmt.Errorf("skeleton: kernel with empty name")
@@ -442,24 +450,24 @@ func (k *Kernel) Validate() error {
 	if len(k.Stmts) == 0 {
 		return fmt.Errorf("skeleton: kernel %q has no statements", k.Name)
 	}
-	seen := make(map[string]bool)
 	seenSeq := false
-	for _, l := range k.Loops {
+	nPar := 0
+	for i, l := range k.Loops {
 		if err := l.Validate(); err != nil {
 			return fmt.Errorf("kernel %q: %w", k.Name, err)
 		}
-		if seen[l.Var] {
+		if k.loopIndex(l.Var) < i {
 			return fmt.Errorf("skeleton: kernel %q reuses loop variable %q", k.Name, l.Var)
 		}
-		seen[l.Var] = true
 		if l.Parallel && seenSeq {
 			return fmt.Errorf("skeleton: kernel %q has parallel loop %q inside sequential loop", k.Name, l.Var)
 		}
-		if !l.Parallel {
+		if l.Parallel {
+			nPar++
+		} else {
 			seenSeq = true
 		}
 	}
-	nPar := len(k.ParallelLoops())
 	for i, s := range k.Stmts {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("kernel %q statement %d: %w", k.Name, i, err)
@@ -468,18 +476,17 @@ func (k *Kernel) Validate() error {
 			return fmt.Errorf("skeleton: kernel %q statement %d depth %d outside [%d,%d]",
 				k.Name, i, s.Depth, nPar, len(k.Loops))
 		}
-		inScope := make(map[string]bool)
-		for _, l := range k.Loops[:k.effectiveDepth(s)] {
-			inScope[l.Var] = true
-		}
+		depth := k.effectiveDepth(s)
 		for _, ac := range s.Accesses {
 			for _, e := range ac.Index {
-				for _, v := range e.Vars() {
-					if !seen[v] {
+				var buf [4]string
+				for _, v := range e.AppendVars(buf[:0]) {
+					at := k.loopIndex(v)
+					if at < 0 {
 						return fmt.Errorf("skeleton: kernel %q access %s references undeclared loop variable %q",
 							k.Name, ac.String(), v)
 					}
-					if !inScope[v] {
+					if at >= depth {
 						return fmt.Errorf("skeleton: kernel %q access %s references loop variable %q below its depth",
 							k.Name, ac.String(), v)
 					}
@@ -488,6 +495,17 @@ func (k *Kernel) Validate() error {
 		}
 	}
 	return nil
+}
+
+// loopIndex returns the position of the first loop over variable v,
+// or -1.
+func (k *Kernel) loopIndex(v string) int {
+	for i, l := range k.Loops {
+		if l.Var == v {
+			return i
+		}
+	}
+	return -1
 }
 
 // effectiveDepth resolves a statement's Depth (0 means innermost).
@@ -634,18 +652,18 @@ func (s *Sequence) Validate() error {
 	if s.Iterations < 1 {
 		return fmt.Errorf("skeleton: sequence %q has iteration count %d", s.Name, s.Iterations)
 	}
-	names := make(map[string]bool)
-	for _, k := range s.Kernels {
+	for i, k := range s.Kernels {
 		if k == nil {
 			return fmt.Errorf("skeleton: sequence %q contains nil kernel", s.Name)
 		}
 		if err := k.Validate(); err != nil {
 			return err
 		}
-		if names[k.Name] {
-			return fmt.Errorf("skeleton: sequence %q has duplicate kernel name %q", s.Name, k.Name)
+		for _, prev := range s.Kernels[:i] {
+			if prev.Name == k.Name {
+				return fmt.Errorf("skeleton: sequence %q has duplicate kernel name %q", s.Name, k.Name)
+			}
 		}
-		names[k.Name] = true
 	}
 	return nil
 }

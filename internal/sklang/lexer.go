@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind enumerates the lexical classes of the skeleton language.
@@ -94,170 +95,184 @@ func errorf(p pos, format string, args ...interface{}) *Error {
 }
 
 // lexer scans skeleton source into tokens. '#' starts a comment to
-// end of line; whitespace separates tokens.
+// end of line; whitespace separates tokens. It walks the source by
+// byte offset and decodes a rune only at a non-ASCII byte; token text
+// is a substring of the source. Columns count runes, and an invalid
+// UTF-8 byte counts as one rune (utf8.RuneError), as ranging over the
+// string does.
 type lexer struct {
-	src  []rune
-	off  int
+	src  string
+	off  int // byte offset of the next rune
 	line int
 	col  int
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
+	return &lexer{src: src, line: 1, col: 1}
 }
 
 func (l *lexer) pos() pos { return pos{Line: l.line, Col: l.col} }
 
-func (l *lexer) peek() rune {
-	if l.off >= len(l.src) {
-		return 0
+// peekAt returns the rune starting at byte offset off and its width,
+// or (0, 0) past the end.
+func (l *lexer) peekAt(off int) (rune, int) {
+	if off >= len(l.src) {
+		return 0, 0
 	}
-	return l.src[l.off]
+	if c := l.src[off]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[off:])
 }
 
-func (l *lexer) advance() rune {
-	r := l.src[l.off]
-	l.off++
-	if r == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return r
+// advance consumes one rune of width n that is not a newline.
+func (l *lexer) advance(n int) {
+	l.off += n
+	l.col++
 }
 
 func (l *lexer) skipSpaceAndComments() {
 	for l.off < len(l.src) {
-		r := l.peek()
-		switch {
-		case r == '#':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
+		switch c := l.src[l.off]; c {
+		case '\n':
+			l.off++
+			l.line++
+			l.col = 1
+		case ' ', '\t', '\r', '\v', '\f':
+			l.advance(1)
+		case '#':
+			rest := l.src[l.off:]
+			end := strings.IndexByte(rest, '\n')
+			if end < 0 {
+				end = len(rest)
 			}
-		case unicode.IsSpace(r):
-			l.advance()
+			l.col += utf8.RuneCountInString(rest[:end])
+			l.off += end
 		default:
-			return
+			if c < utf8.RuneSelf {
+				return
+			}
+			r, n := utf8.DecodeRuneInString(l.src[l.off:])
+			if !unicode.IsSpace(r) {
+				return
+			}
+			l.advance(n)
 		}
 	}
+}
+
+// isDigit and isLetter are unicode.IsDigit and unicode.IsLetter with
+// an ASCII fast path.
+func isDigit(r rune) bool {
+	if r < utf8.RuneSelf {
+		return '0' <= r && r <= '9'
+	}
+	return unicode.IsDigit(r)
+}
+
+func isLetter(r rune) bool {
+	if r < utf8.RuneSelf {
+		return 'a' <= r|0x20 && r|0x20 <= 'z'
+	}
+	return unicode.IsLetter(r)
+}
+
+// punct maps the single-character tokens to their kinds.
+var punct = [utf8.RuneSelf]tokenKind{
+	'{': tokLBrace, '}': tokRBrace, '[': tokLBracket, ']': tokRBracket,
+	'=': tokAssign, '+': tokPlus, '-': tokMinus, '*': tokStar, '?': tokQuestion,
 }
 
 // next returns the next token or a positioned error.
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
 	start := l.pos()
-	if l.off >= len(l.src) {
-		return token{Kind: tokEOF, Pos: start}, nil
-	}
-	r := l.peek()
+	r, n := l.peekAt(l.off)
 	switch {
-	case r == '{':
-		l.advance()
-		return token{Kind: tokLBrace, Pos: start}, nil
-	case r == '}':
-		l.advance()
-		return token{Kind: tokRBrace, Pos: start}, nil
-	case r == '[':
-		l.advance()
-		return token{Kind: tokLBracket, Pos: start}, nil
-	case r == ']':
-		l.advance()
-		return token{Kind: tokRBracket, Pos: start}, nil
-	case r == '=':
-		l.advance()
-		return token{Kind: tokAssign, Pos: start}, nil
-	case r == '+':
-		l.advance()
-		return token{Kind: tokPlus, Pos: start}, nil
-	case r == '-':
-		l.advance()
-		return token{Kind: tokMinus, Pos: start}, nil
-	case r == '*':
-		l.advance()
-		return token{Kind: tokStar, Pos: start}, nil
-	case r == '?':
-		l.advance()
-		return token{Kind: tokQuestion, Pos: start}, nil
+	case n == 0:
+		return token{Kind: tokEOF, Pos: start}, nil
+	case r < utf8.RuneSelf && punct[r] != tokEOF:
+		l.advance(1)
+		return token{Kind: punct[r], Pos: start}, nil
 	case r == '.':
-		l.advance()
-		if l.peek() != '.' {
+		l.advance(1)
+		if r, _ := l.peekAt(l.off); r != '.' {
 			return token{}, errorf(start, "unexpected '.', expected '..'")
 		}
-		l.advance()
+		l.advance(1)
 		return token{Kind: tokDotDot, Pos: start}, nil
 	case r == '"':
 		return l.lexString(start)
-	case unicode.IsDigit(r):
-		return l.lexNumber(start)
-	case unicode.IsLetter(r) || r == '_':
-		return l.lexIdent(start)
+	case isDigit(r):
+		return l.lexNumber(start), nil
+	case isLetter(r) || r == '_':
+		return l.lexIdent(start), nil
 	default:
 		return token{}, errorf(start, "unexpected character %q", r)
 	}
 }
 
 func (l *lexer) lexString(start pos) (token, error) {
-	l.advance() // opening quote
-	var b strings.Builder
-	for {
-		if l.off >= len(l.src) {
-			return token{}, errorf(start, "unterminated string")
-		}
-		r := l.advance()
-		if r == '"' {
-			return token{Kind: tokString, Text: b.String(), Pos: start}, nil
-		}
-		if r == '\n' {
-			return token{}, errorf(start, "newline in string")
-		}
-		b.WriteRune(r)
+	l.advance(1) // opening quote
+	rest := l.src[l.off:]
+	end := strings.IndexAny(rest, "\"\n")
+	if end < 0 {
+		return token{}, errorf(start, "unterminated string")
 	}
+	if rest[end] == '\n' {
+		return token{}, errorf(start, "newline in string")
+	}
+	text := rest[:end]
+	l.col += utf8.RuneCountInString(text) + 1 // text and closing quote
+	l.off += end + 1
+	if !utf8.ValidString(text) {
+		// Each invalid byte reads as U+FFFD, as ranging over the
+		// string yields it.
+		var b strings.Builder
+		for _, r := range text {
+			b.WriteRune(r)
+		}
+		text = b.String()
+	}
+	return token{Kind: tokString, Text: text, Pos: start}, nil
 }
 
-func (l *lexer) lexNumber(start pos) (token, error) {
-	var b strings.Builder
+// lexNumber scans digits with an optional fraction part. Digits are
+// never invalid UTF-8, so the text is a substring of the source.
+func (l *lexer) lexNumber(start pos) token {
+	from := l.off
 	kind := tokInt
-	for l.off < len(l.src) && unicode.IsDigit(l.peek()) {
-		b.WriteRune(l.advance())
-	}
+	l.skipDigits()
 	// A fraction part — but only when not followed by a second dot
 	// (the range operator '..').
-	if l.peek() == '.' && l.off+1 < len(l.src) && unicode.IsDigit(l.src[l.off+1]) {
-		kind = tokFloat
-		b.WriteRune(l.advance())
-		for l.off < len(l.src) && unicode.IsDigit(l.peek()) {
-			b.WriteRune(l.advance())
+	if r, _ := l.peekAt(l.off); r == '.' {
+		if r, _ := l.peekAt(l.off + 1); isDigit(r) {
+			kind = tokFloat
+			l.advance(1)
+			l.skipDigits()
 		}
 	}
-	return token{Kind: kind, Text: b.String(), Pos: start}, nil
+	return token{Kind: kind, Text: l.src[from:l.off], Pos: start}
 }
 
-func (l *lexer) lexIdent(start pos) (token, error) {
-	var b strings.Builder
-	for l.off < len(l.src) {
-		r := l.peek()
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-			b.WriteRune(l.advance())
-		} else {
+func (l *lexer) skipDigits() {
+	for {
+		r, n := l.peekAt(l.off)
+		if n == 0 || !isDigit(r) {
+			return
+		}
+		l.advance(n)
+	}
+}
+
+func (l *lexer) lexIdent(start pos) token {
+	from := l.off
+	for {
+		r, n := l.peekAt(l.off)
+		if n == 0 || !(isLetter(r) || isDigit(r) || r == '_') {
 			break
 		}
+		l.advance(n)
 	}
-	return token{Kind: tokIdent, Text: b.String(), Pos: start}, nil
-}
-
-// lexAll scans the whole source, for the parser's lookahead buffer.
-func lexAll(src string) ([]token, error) {
-	l := newLexer(src)
-	var toks []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == tokEOF {
-			return toks, nil
-		}
-	}
+	return token{Kind: tokIdent, Text: l.src[from:l.off], Pos: start}
 }

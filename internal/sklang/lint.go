@@ -35,13 +35,9 @@ type Info struct {
 // ParseWithInfo is Parse, additionally returning the declaration
 // metadata.
 func ParseWithInfo(src string) (core.Workload, Info, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return core.Workload{}, Info{}, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	w, err := p.parseFile()
-	if err != nil {
+	if err = p.checkLex(err); err != nil {
 		return core.Workload{}, Info{}, err
 	}
 	info := Info{}

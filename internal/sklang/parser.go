@@ -10,13 +10,15 @@ import (
 	"grophecy/internal/skeleton"
 )
 
-// parser is a recursive-descent parser over a pre-lexed token stream.
-// It builds the core.Workload directly, using a symbol table of
-// declared arrays and kernels; semantic errors (unknown array, wrong
-// dimensionality, duplicate names) are reported with positions.
+// parser is a recursive-descent parser that pulls tokens from the
+// lexer with one token of lookahead. It builds the core.Workload
+// directly, using a symbol table of declared arrays and kernels;
+// semantic errors (unknown array, wrong dimensionality, duplicate
+// names) are reported with positions.
 type parser struct {
-	toks []token
-	off  int
+	lx     *lexer
+	tok    [2]token // the current token and the one after it
+	lexErr error    // the lexer's error; the parser sees EOF from there
 
 	workloadName string
 	dataSize     string
@@ -29,12 +31,50 @@ type parser struct {
 	cpu          *cpumodel.Workload
 }
 
-func (p *parser) cur() token { return p.toks[p.off] }
+func newParser(src string) *parser {
+	p := &parser{lx: newLexer(src)}
+	p.tok[0] = p.lex()
+	p.tok[1] = p.lex()
+	return p
+}
+
+// lex returns the lexer's next token, or EOF once it has failed.
+func (p *parser) lex() token {
+	if p.lexErr != nil {
+		return token{Kind: tokEOF}
+	}
+	t, err := p.lx.next()
+	if err != nil {
+		p.lexErr = err
+		return token{Kind: tokEOF}
+	}
+	return t
+}
+
+// checkLex returns the source's lexical error, if it has one, and err
+// otherwise. It lexes whatever the parser did not reach, so a lexical
+// error anywhere in the source wins over a parse error before it,
+// exactly as if the whole source had been lexed first.
+func (p *parser) checkLex(err error) error {
+	for p.lexErr == nil && p.tok[1].Kind != tokEOF {
+		p.tok[1] = p.lex()
+	}
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
+}
+
+func (p *parser) cur() token { return p.tok[0] }
+
+// peek returns the token after the current one.
+func (p *parser) peek() token { return p.tok[1] }
 
 func (p *parser) advance() token {
-	t := p.toks[p.off]
+	t := p.tok[0]
 	if t.Kind != tokEOF {
-		p.off++
+		p.tok[0] = p.tok[1]
+		p.tok[1] = p.lex()
 	}
 	return t
 }
@@ -295,7 +335,7 @@ func (p *parser) parseLoop(k *skeleton.Kernel, loopVars map[string]bool, depth i
 func (p *parser) parseStmt(k *skeleton.Kernel, loopVars map[string]bool, depth int) error {
 	stmtTok := p.advance() // 'stmt'
 	st := skeleton.Statement{Depth: depth}
-	for p.cur().Kind == tokIdent && p.toks[p.off+1].Kind == tokAssign {
+	for p.cur().Kind == tokIdent && p.peek().Kind == tokAssign {
 		keyTok := p.advance()
 		p.advance() // '='
 		v, err := p.parseInt()
@@ -350,7 +390,7 @@ func (p *parser) parseAccess(loopVars map[string]bool) (skeleton.Access, error) 
 	if !ok {
 		return skeleton.Access{}, errorf(nameTok.Pos, "undeclared array %q", nameTok.Text)
 	}
-	var idx []skeleton.IndexExpr
+	idx := make([]skeleton.IndexExpr, 0, len(arr.Dims))
 	for p.cur().Kind == tokLBracket {
 		p.advance()
 		e, err := p.parseIndexExpr(loopVars)
@@ -376,7 +416,7 @@ func (p *parser) parseIndexExpr(loopVars map[string]bool) (skeleton.IndexExpr, e
 		p.advance()
 		return skeleton.IdxIrregular(), nil
 	}
-	expr := skeleton.IndexExpr{Coeffs: make(map[string]int64)}
+	var expr skeleton.IndexExpr // a constant index keeps nil Coeffs, as IdxConst builds it
 	sign := int64(1)
 	if p.cur().Kind == tokMinus {
 		p.advance()
@@ -416,7 +456,7 @@ func (p *parser) parseIndexTerm(expr *skeleton.IndexExpr, sign int64, loopVars m
 			if !loopVars[varTok.Text] {
 				return errorf(varTok.Pos, "unknown loop variable %q", varTok.Text)
 			}
-			expr.Coeffs[varTok.Text] += sign * v
+			addCoeff(expr, varTok.Text, sign*v)
 			return nil
 		}
 		expr.Const += sign * v
@@ -426,11 +466,20 @@ func (p *parser) parseIndexTerm(expr *skeleton.IndexExpr, sign int64, loopVars m
 			return errorf(t.Pos, "unknown loop variable %q", t.Text)
 		}
 		p.advance()
-		expr.Coeffs[t.Text] += sign
+		addCoeff(expr, t.Text, sign)
 		return nil
 	default:
 		return errorf(t.Pos, "expected an index term, found %v", t.Kind)
 	}
+}
+
+// addCoeff adds c to the coefficient of loop variable v, making the
+// map on the expression's first variable term.
+func addCoeff(e *skeleton.IndexExpr, v string, c int64) {
+	if e.Coeffs == nil {
+		e.Coeffs = make(map[string]int64)
+	}
+	e.Coeffs[v] += c
 }
 
 // sequence [iterations=N] { kernelName ... }
@@ -480,7 +529,7 @@ func (p *parser) parseCPU() error {
 		return errorf(at, "duplicate cpu declaration")
 	}
 	w := cpumodel.Workload{}
-	for p.cur().Kind == tokIdent && p.toks[p.off+1].Kind == tokAssign {
+	for p.cur().Kind == tokIdent && p.peek().Kind == tokAssign {
 		keyTok := p.advance()
 		p.advance() // '='
 		switch keyTok.Text {

@@ -179,12 +179,8 @@ func (p *parser) resolveArrays(names []string, at pos) ([]*skeleton.Array, error
 // ParseProgram parses skeleton source declaring phases. It returns
 // ErrNotProgram for single-sequence files.
 func ParseProgram(src string) (ProgramWorkload, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return ProgramWorkload{}, err
-	}
-	p := &parser{toks: toks}
-	if err := p.parseDecls(); err != nil {
+	p := newParser(src)
+	if err := p.checkLex(p.parseDecls()); err != nil {
 		return ProgramWorkload{}, err
 	}
 	if len(p.phases) == 0 {

@@ -70,14 +70,9 @@ var (
 // line:column positions.
 func Parse(src string) (core.Workload, error) {
 	mParses.Inc()
-	toks, err := lexAll(src)
-	if err != nil {
-		mParseErrors.Inc()
-		return core.Workload{}, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	w, err := p.parseFile()
-	if err != nil {
+	if err = p.checkLex(err); err != nil {
 		mParseErrors.Inc()
 		return core.Workload{}, err
 	}

@@ -81,7 +81,34 @@ var keyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &
 func cacheKey(buf []byte, k *skeleton.Kernel, arch gpu.Arch) []byte {
 	buf = k.AppendCanonical(buf)
 	buf = append(buf, '@')
-	return fmt.Appendf(buf, "%#v", arch)
+	return append(buf, archKey(arch)...)
+}
+
+// maxArchKeys bounds archKeys; a process sees a handful of distinct
+// architectures (one per registered target and GPU preset).
+const maxArchKeys = 64
+
+// archKeys memoizes each distinct architecture's %#v rendering, which
+// costs more than a warm memo lookup itself. The rendering is a pure
+// function of the value.
+var archKeys = struct {
+	sync.Mutex
+	m map[gpu.Arch]string
+}{m: make(map[gpu.Arch]string)}
+
+// archKey returns arch rendered with %#v, formatting each distinct
+// architecture once.
+func archKey(arch gpu.Arch) string {
+	archKeys.Lock()
+	defer archKeys.Unlock()
+	key, ok := archKeys.m[arch]
+	if !ok {
+		key = fmt.Sprintf("%#v", arch)
+		if len(archKeys.m) < maxArchKeys {
+			archKeys.m[arch] = key
+		}
+	}
+	return key
 }
 
 // lookup returns the entry for key, or nil.

@@ -277,7 +277,8 @@ func analyzeKernel(k *skeleton.Kernel, arch gpu.Arch) *analysis {
 // constant or (block var + const) with coefficient 1.
 func isStencilAccess(ac skeleton.Access, xVar, yVar string) bool {
 	for _, e := range ac.Index {
-		vars := e.Vars()
+		var buf [4]string
+		vars := e.AppendVars(buf[:0])
 		switch len(vars) {
 		case 0:
 			continue
