@@ -66,7 +66,7 @@ bench-gate:
 # goes first, and print per benchmark the medians and quartiles of
 # ns/op and allocs/op and the pairs won. Not part of check, because it
 # needs a BASE: `make bench-ab BASE=HEAD~1`. scripts/bench-ab.sh lists
-# its other settings (PAIRS, BENCHTIME, CARRY).
+# its other settings (PAIRS, CARRY).
 AB_BENCH = ^Benchmark(EndToEndProjection|EndToEndProjectionTelemetry|TelemetryOverhead|Enumerate|Union|Intersect|TransferPinned|TransferPageable|Fig2TransferSweep|BackendDispatch|ProjectWarm|ParsePaperWorkloads|ReportJSON)$$
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }

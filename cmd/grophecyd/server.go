@@ -8,7 +8,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -554,7 +553,7 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 		writeError(w, status, err)
 	}
 
-	body, err := readBody(http.MaxBytesReader(w, req.Body, maxSkeletonBytes), req.ContentLength)
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxSkeletonBytes))
 	if err != nil {
 		fail(http.StatusBadRequest, fmt.Errorf("reading skeleton body: %w", err))
 		return
@@ -648,18 +647,6 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
-}
-
-// readBody reads r to EOF like io.ReadAll, into one buffer sized from
-// the request's Content-Length when it is known and within
-// maxSkeletonBytes, so a typical skeleton is read without regrowing.
-func readBody(r io.Reader, contentLength int64) ([]byte, error) {
-	var buf bytes.Buffer
-	if contentLength > 0 && contentLength <= maxSkeletonBytes {
-		buf.Grow(int(contentLength) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
 }
 
 // project runs one full evaluation on a machine private to this

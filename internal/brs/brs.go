@@ -171,6 +171,7 @@ func FromAccess(ac skeleton.Access, loops []skeleton.Loop) Section {
 	if ac.Irregular() {
 		return WholeArray(ac.Array)
 	}
+	nest := skeleton.NewLoopIndex(loops)
 	bounds := make([]Bound, len(ac.Index))
 	for dim, e := range ac.Index {
 		lo, hi := e.Const, e.Const
@@ -178,10 +179,11 @@ func FromAccess(ac skeleton.Access, loops []skeleton.Loop) Section {
 		emptyLoop := false
 		var buf [4]string
 		for _, v := range e.AppendVars(buf[:0]) {
-			l, ok := loopOf(loops, v)
-			if !ok {
+			at := nest.Of(v)
+			if at < 0 {
 				panic(fmt.Sprintf("brs: access %s references loop %q not in nest", ac.String(), v))
 			}
+			l := loops[at]
 			if l.Trips() == 0 {
 				emptyLoop = true
 				break
@@ -215,16 +217,6 @@ func FromAccess(ac skeleton.Access, loops []skeleton.Loop) Section {
 		bounds[dim] = Bound{Lo: lo, Hi: hi, Stride: stride}
 	}
 	return Section{Array: ac.Array, Bounds: bounds}
-}
-
-// loopOf returns the last loop over variable v, or false.
-func loopOf(loops []skeleton.Loop, v string) (skeleton.Loop, bool) {
-	for i := len(loops) - 1; i >= 0; i-- {
-		if loops[i].Var == v {
-			return loops[i], true
-		}
-	}
-	return skeleton.Loop{}, false
 }
 
 // Validate checks structural sanity.

@@ -100,8 +100,7 @@ func (k *Kernel) AppendCanonical(dst []byte) []byte {
 	// reference inlines the content so renamed-but-identical arrays
 	// still encode differently, and repeated references to one object
 	// encode differently from references to two identical objects.
-	var idBuf [8]*Array
-	ids := idBuf[:0]
+	var ids arrayIDs
 
 	dst = append(dst, 'S')
 	dst = strconv.AppendInt(dst, int64(len(k.Stmts)), 10)
@@ -121,14 +120,9 @@ func (k *Kernel) AppendCanonical(dst []byte) []byte {
 			} else {
 				dst = append(dst, 's')
 			}
-			id := slices.Index(ids, ac.Array)
-			seen := id >= 0
-			if !seen {
-				id = len(ids)
-				ids = append(ids, ac.Array)
-			}
+			id, first := ids.of(ac.Array)
 			dst = strconv.AppendInt(dst, int64(id), 10)
-			if !seen {
+			if first {
 				dst = append(dst, '=')
 				dst = ac.Array.appendCanonical(dst)
 			}
@@ -139,6 +133,45 @@ func (k *Kernel) AppendCanonical(dst []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// scanArrays is the number of distinct arrays up to which arrayIDs
+// scans a stack array instead of building a map.
+const scanArrays = 8
+
+// arrayIDs numbers arrays in first-reference order. It scans its first
+// scanArrays arrays in place and moves to a map after that, so a
+// kernel touching few arrays numbers them without allocating and one
+// touching thousands costs time linear in its accesses.
+type arrayIDs struct {
+	buf   [scanArrays]*Array
+	n     int
+	byPtr map[*Array]int // nil until more than scanArrays arrays
+}
+
+// of returns a's number and whether this is its first reference,
+// numbering it on its first reference.
+func (x *arrayIDs) of(a *Array) (id int, first bool) {
+	if x.byPtr == nil {
+		if i := slices.Index(x.buf[:x.n], a); i >= 0 {
+			return i, false
+		}
+		if x.n < scanArrays {
+			x.buf[x.n] = a
+			x.n++
+			return x.n - 1, true
+		}
+		x.byPtr = make(map[*Array]int, 2*scanArrays)
+		for i, b := range x.buf {
+			x.byPtr[b] = i
+		}
+	}
+	if i, ok := x.byPtr[a]; ok {
+		return i, false
+	}
+	id = len(x.byPtr)
+	x.byPtr[a] = id
+	return id, true
 }
 
 // AppendCanonical appends the canonical content encoding of the

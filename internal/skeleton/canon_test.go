@@ -141,3 +141,26 @@ func TestSequenceCanonicalCrossKernelIdentity(t *testing.T) {
 		t.Fatal("sequence encoding is not deterministic")
 	}
 }
+
+func TestArrayIDsNumberInFirstReferenceOrder(t *testing.T) {
+	// Past scanArrays distinct arrays the numbering moves from a scan
+	// to a map; both must number exactly as one map would.
+	arrays := make([]*Array, 3*scanArrays)
+	for i := range arrays {
+		arrays[i] = NewArray("a", Float32, 4)
+	}
+	refs := []int{0, 1, 0, 2, 3, 4, 5, 6, 7, 7, 8, 3, 9, 8, 0, 10, 11, 12, 23, 1, 12, 22}
+	var ids arrayIDs
+	want := make(map[*Array]int)
+	for _, r := range refs {
+		a := arrays[r]
+		wantID, seen := want[a]
+		if !seen {
+			wantID = len(want)
+			want[a] = wantID
+		}
+		if id, first := ids.of(a); id != wantID || first == seen {
+			t.Fatalf("array %d: got (%d, first=%v), want (%d, first=%v)", r, id, first, wantID, !seen)
+		}
+	}
+}

@@ -438,8 +438,8 @@ type Kernel struct {
 
 // Validate checks kernel structure: non-empty, valid loops and
 // statements, unique loop variables, parallel-outside-sequential, and
-// all index expressions referencing declared loop variables. It scans
-// k.Loops instead of building sets, so validating does not allocate.
+// all index expressions referencing declared loop variables. A
+// kernel of at most scanLoops loops validates without allocating.
 func (k *Kernel) Validate() error {
 	if k.Name == "" {
 		return fmt.Errorf("skeleton: kernel with empty name")
@@ -450,13 +450,14 @@ func (k *Kernel) Validate() error {
 	if len(k.Stmts) == 0 {
 		return fmt.Errorf("skeleton: kernel %q has no statements", k.Name)
 	}
+	nest := NewLoopIndex(k.Loops)
 	seenSeq := false
 	nPar := 0
 	for i, l := range k.Loops {
 		if err := l.Validate(); err != nil {
 			return fmt.Errorf("kernel %q: %w", k.Name, err)
 		}
-		if k.loopIndex(l.Var) < i {
+		if nest.Of(l.Var) < i {
 			return fmt.Errorf("skeleton: kernel %q reuses loop variable %q", k.Name, l.Var)
 		}
 		if l.Parallel && seenSeq {
@@ -481,7 +482,7 @@ func (k *Kernel) Validate() error {
 			for _, e := range ac.Index {
 				var buf [4]string
 				for _, v := range e.AppendVars(buf[:0]) {
-					at := k.loopIndex(v)
+					at := nest.Of(v)
 					if at < 0 {
 						return fmt.Errorf("skeleton: kernel %q access %s references undeclared loop variable %q",
 							k.Name, ac.String(), v)
@@ -497,10 +498,40 @@ func (k *Kernel) Validate() error {
 	return nil
 }
 
-// loopIndex returns the position of the first loop over variable v,
-// or -1.
-func (k *Kernel) loopIndex(v string) int {
-	for i, l := range k.Loops {
+// scanLoops is the nest depth up to which a LoopIndex scans its loops
+// instead of building a map. The paper's kernels nest at most three.
+const scanLoops = 8
+
+// LoopIndex finds loops by variable. It scans a nest of at most
+// scanLoops loops and looks a deeper one up through a map built once,
+// so looking up every variable of a kernel nesting thousands of loops
+// costs time linear in the nest, and a short nest allocates nothing.
+type LoopIndex struct {
+	loops []Loop
+	byVar map[string]int // nil for a short nest
+}
+
+// NewLoopIndex indexes loops by variable.
+func NewLoopIndex(loops []Loop) LoopIndex {
+	x := LoopIndex{loops: loops}
+	if len(loops) > scanLoops {
+		x.byVar = make(map[string]int, len(loops))
+		for i := len(loops) - 1; i >= 0; i-- {
+			x.byVar[loops[i].Var] = i
+		}
+	}
+	return x
+}
+
+// Of returns the position of the first loop over variable v, or -1.
+func (x LoopIndex) Of(v string) int {
+	if x.byVar != nil {
+		if i, ok := x.byVar[v]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, l := range x.loops {
 		if l.Var == v {
 			return i
 		}
@@ -617,16 +648,6 @@ func (k *Kernel) accessBytesPerThread(kind AccessKind) int64 {
 	return n
 }
 
-// Loop returns the loop with the given variable, or false.
-func (k *Kernel) Loop(v string) (Loop, bool) {
-	for _, l := range k.Loops {
-		if l.Var == v {
-			return l, true
-		}
-	}
-	return Loop{}, false
-}
-
 // Sequence is an ordered list of kernels offloaded to the GPU as a
 // unit, plus the arrays they touch. It is the scope of data usage
 // analysis: data produced by an earlier kernel and consumed by a
@@ -652,18 +673,18 @@ func (s *Sequence) Validate() error {
 	if s.Iterations < 1 {
 		return fmt.Errorf("skeleton: sequence %q has iteration count %d", s.Name, s.Iterations)
 	}
-	for i, k := range s.Kernels {
+	names := make(map[string]bool, len(s.Kernels))
+	for _, k := range s.Kernels {
 		if k == nil {
 			return fmt.Errorf("skeleton: sequence %q contains nil kernel", s.Name)
 		}
 		if err := k.Validate(); err != nil {
 			return err
 		}
-		for _, prev := range s.Kernels[:i] {
-			if prev.Name == k.Name {
-				return fmt.Errorf("skeleton: sequence %q has duplicate kernel name %q", s.Name, k.Name)
-			}
+		if names[k.Name] {
+			return fmt.Errorf("skeleton: sequence %q has duplicate kernel name %q", s.Name, k.Name)
 		}
+		names[k.Name] = true
 	}
 	return nil
 }

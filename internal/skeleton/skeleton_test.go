@@ -1,6 +1,7 @@
 package skeleton
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -276,12 +277,6 @@ func TestKernelAggregates(t *testing.T) {
 	if got := len(k.Accesses()); got != 6 {
 		t.Errorf("Accesses = %d", got)
 	}
-	if _, ok := k.Loop("i"); !ok {
-		t.Error("Loop(i) not found")
-	}
-	if _, ok := k.Loop("z"); ok {
-		t.Error("Loop(z) found")
-	}
 }
 
 func TestKernelWithSequentialLoop(t *testing.T) {
@@ -413,5 +408,59 @@ func TestQuickArrayBytesIsCountTimesElem(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestLoopIndex(t *testing.T) {
+	// A short nest is scanned and a deep one looked up through a map;
+	// both return the first loop over a variable.
+	for _, n := range []int{3, scanLoops, scanLoops + 1, 4 * scanLoops} {
+		loops := make([]Loop, n)
+		for i := range loops {
+			loops[i] = SeqLoop(fmt.Sprintf("v%d", i), 2)
+		}
+		loops[n-1].Var = "v1"
+		x := NewLoopIndex(loops)
+		if got := x.Of("v0"); got != 0 {
+			t.Errorf("n=%d: Of(v0) = %d, want 0", n, got)
+		}
+		if got := x.Of("v1"); got != 1 {
+			t.Errorf("n=%d: Of(v1) = %d, want the first loop, 1", n, got)
+		}
+		if got := x.Of("w"); got != -1 {
+			t.Errorf("n=%d: Of(w) = %d, want -1", n, got)
+		}
+	}
+}
+
+func TestKernelValidateDeepNest(t *testing.T) {
+	// Past scanLoops loops Validate looks variables up through a map
+	// and must reject what a short nest rejects.
+	a := NewArray("a", Float32, 4)
+	deep := func() *Kernel {
+		k := &Kernel{Name: "k", Loops: []Loop{ParLoop("i", 4)}}
+		for d := 0; d < 2*scanLoops; d++ {
+			k.Loops = append(k.Loops, SeqLoop(fmt.Sprintf("v%d", d), 2))
+		}
+		k.Stmts = []Statement{{Accesses: []Access{LoadOf(a, IndexExpr{Coeffs: map[string]int64{"i": 1, "v9": 1}})}}}
+		return k
+	}
+	if err := deep().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	k := deep()
+	k.Loops[len(k.Loops)-1].Var = "v3"
+	if k.Validate() == nil {
+		t.Error("duplicate loop var accepted")
+	}
+	k = deep()
+	k.Stmts[0].Depth = 2
+	if k.Validate() == nil {
+		t.Error("loop variable below the statement's depth accepted")
+	}
+	k = deep()
+	k.Stmts[0].Accesses[0].Index = []IndexExpr{Idx("zz")}
+	if k.Validate() == nil {
+		t.Error("undeclared loop variable accepted")
 	}
 }

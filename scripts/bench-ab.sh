@@ -6,16 +6,16 @@
 # holding a selected benchmark, both sides' test binaries are built
 # with `go test -c`. Then PAIRS rounds run each side's binaries once
 # (-count=1), alternating which side goes first, so both sides sample
-# the same minutes of machine load. Per benchmark it prints each
-# side's median and quartiles of ns/op and allocs/op, and the number
-# of pairs the working tree won on ns/op.
+# the same minutes of machine load; every run uses -test.benchtime 1s
+# on both sides. Per benchmark it prints each side's median and
+# quartiles of ns/op and allocs/op, and the number of pairs the
+# working tree won on ns/op.
 #
 # Usage: bash scripts/bench-ab.sh <rev>   (or: make bench-ab BASE=<rev>)
 #
 # Environment:
 #   BENCH         benchmark regexp (default: every benchmark)
 #   PAIRS         number of pairs (default 10)
-#   BENCHTIME     -test.benchtime of each run (default 1s)
 #   CARRY         test files (paths from the repository root) copied
 #                 from the working tree into BASE before building, so
 #                 a benchmark the change adds is measured on both sides
@@ -26,7 +26,6 @@ set -euo pipefail
 base=${1:?usage: bench-ab.sh <rev>}
 bench=${BENCH:-.}
 pairs=${PAIRS:-10}
-benchtime=${BENCHTIME:-1s}
 root=$(git rev-parse --show-toplevel)
 work=${BENCH_AB_DIR:-$root/out/bench-ab}
 mkdir -p "$work"
@@ -47,11 +46,12 @@ binary() {
 }
 
 # build SIDE SRC compiles SRC's test binary for each package directory
-# in $dirs into bin/SIDE; a package with no benchmark matching $bench
-# on that side is left out.
+# in $dirs into bin/SIDE; a package that SRC lacks, or that has no
+# benchmark matching $bench on that side, is left out.
 build() {
 	local side=$1 src=$2 dir bin
 	for dir in $dirs; do
+		[ -d "$src/$dir" ] || continue
 		bin=$(binary "$side" "$dir")
 		(cd "$src" && go test -c -o "$bin" "./$dir")
 		if [ ! -x "$bin" ] || [ -z "$(cd "$src/$dir" && "$bin" -test.list "$bench" | grep '^Benchmark' || true)" ]; then
@@ -75,11 +75,12 @@ run() {
 		bin=$(binary "$side" "$dir")
 		[ -x "$bin" ] || continue
 		(cd "$src/$dir" && "$bin" -test.run '^$' -test.bench "$bench" -test.benchmem \
-			-test.count 1 -test.benchtime "$benchtime") >>"$work/$side.txt"
+			-test.count 1 -test.benchtime 1s) >>"$work/$side.txt"
 	done
 }
 
-rm -f "$work/base.txt" "$work/head.txt"
+: >"$work/base.txt"
+: >"$work/head.txt"
 for ((i = 1; i <= pairs; i++)); do
 	echo "pair $i/$pairs" >&2
 	if ((i % 2)); then
