@@ -8,15 +8,16 @@ GO ?= go
 COVER_BASELINE ?= 78.0
 COVER_PROFILE  ?= out/cover.out
 
-.PHONY: all check build test vet race cover bench bench-json bench-gate bench-ab smoke smoke-chaos outputs-ab paper csv examples fuzz fuzz-short fmt clean
+.PHONY: all check build test vet race cover bench bench-json bench-gate smoke smoke-chaos outputs-ab paper csv examples fuzz fuzz-short fmt clean
 
 all: check
 
 # The default verification gate: everything must compile, pass vet,
 # pass the full test suite under the race detector, keep total
 # coverage at or above COVER_BASELINE, hold the benchmark regression
-# gate against the committed baseline, bring up a real grophecyd end
-# to end, and run every example program.
+# gate against the last commit (BASE, default HEAD), bring up a real
+# grophecyd end to end, and run every example program. After a commit,
+# gate it against its parent: `make check BASE=HEAD~1`.
 check: build vet race cover bench-gate smoke smoke-chaos examples
 
 race:
@@ -36,41 +37,25 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The same benchmark run, parsed into a machine-readable snapshot at
-# the repo root for cross-commit comparison. Bump BENCH when a change
-# is expected to move the numbers: `make bench-json BENCH=BENCH_9.json`.
-BENCH ?= BENCH_9.json
+# the repo root. BENCH names a new file, so that no committed snapshot
+# is overwritten: `make bench-json BENCH=BENCH_11.json`.
 bench-json:
+	@test -n "$(BENCH)" || { echo "usage: make bench-json BENCH=BENCH_<n>.json" >&2; exit 2; }
 	$(GO) test -run='^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson > $(BENCH)
 	@echo "wrote $(BENCH)"
 
-# Benchmark regression gate: re-run the gated hot-path benchmarks and
-# diff them against the committed baseline snapshot. Fails on >15%
-# ns/op or >10% allocs/op regression of any gated benchmark, or when
-# the telemetry-overhead bound is blown (TelemetryOverhead's
-# interleaved overhead-pct metric, default max 5 — see
-# docs/BENCHMARKS.md for re-baselining and overrides). GATE_BENCH
-# narrows the run to the gated names so the gate stays fast; -count=5
-# lets the diff gate on the min-of-5 noise floor instead of one noisy
-# run. TelemetryOverhead is in the run set for its metric bound but
-# not in the ns gate list: its ns/op blends bare and traced work.
-BENCH_BASELINE ?= BENCH_9.json
-GATE_BENCH = ^Benchmark(EndToEndProjection|EndToEndProjectionTelemetry|TelemetryOverhead|Enumerate|Union|Intersect|TransferPinned|TransferPageable|Fig2TransferSweep|BackendDispatch)$$
+# Benchmark regression gate: an interleaved same-host A/B of the
+# working tree against revision BASE (default HEAD). scripts/bench-ab.sh
+# builds both sides' test binaries, runs GATE_BENCH on each PAIRS times
+# (default 10), -count=1, alternating which side goes first, and
+# `benchjson ab` fails when a benchmark's median ns/op rose more than
+# 15% or its median allocs/op more than 10% against BASE, when a
+# benchmark ran on BASE but not on the working tree, or when the median
+# TelemetryOverhead overhead-pct exceeds 5. See docs/BENCHMARKS.md.
+GATE_BENCH = ^Benchmark(EndToEndProjection|EndToEndProjectionTelemetry|TelemetryOverhead|Enumerate|Union|Intersect|TransferPinned|TransferPageable|Fig2TransferSweep|BackendDispatch|ProjectWarm|ParsePaperWorkloads|ReportJSON)$$
+bench-gate: BASE ?= HEAD
 bench-gate:
-	@mkdir -p out
-	$(GO) test -run='^$$' -bench='$(GATE_BENCH)' -benchmem -count=5 ./... | $(GO) run ./cmd/benchjson > out/bench-gate.json
-	$(GO) run ./cmd/benchjson diff $(BENCH_BASELINE) out/bench-gate.json
-
-# Interleaved same-host A/B against revision BASE: build both sides'
-# test binaries, run AB_BENCH (the gated benchmarks plus the warm
-# /project path's) PAIRS times each, -count=1, alternating which side
-# goes first, and print per benchmark the medians and quartiles of
-# ns/op and allocs/op and the pairs won. Not part of check, because it
-# needs a BASE: `make bench-ab BASE=HEAD~1`. scripts/bench-ab.sh lists
-# its other settings (PAIRS, CARRY).
-AB_BENCH = ^Benchmark(EndToEndProjection|EndToEndProjectionTelemetry|TelemetryOverhead|Enumerate|Union|Intersect|TransferPinned|TransferPageable|Fig2TransferSweep|BackendDispatch|ProjectWarm|ParsePaperWorkloads|ReportJSON)$$
-bench-ab:
-	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
-	BENCH='$(AB_BENCH)' bash scripts/bench-ab.sh $(BASE)
+	BENCH='$(GATE_BENCH)' bash scripts/bench-ab.sh $(BASE)
 
 # End-to-end daemon smoke test: build grophecyd, start it on an
 # ephemeral port, project a skeleton over HTTP, check the metrics
@@ -127,15 +112,19 @@ cover:
 fuzz:
 	$(GO) test -run=xxx -fuzz=FuzzParse -fuzztime=30s ./internal/sklang/
 
-# 10 seconds per fuzz target — quick pre-commit confidence pass.
+# 10 seconds per fuzz target — quick pre-commit confidence pass. Each
+# line bounds how long a worker may minimize a new input: unbounded,
+# minimizing ate the rest of the 10 s after the first few seconds (the
+# HTTP targets, where each exec is a request to a live daemon, and
+# FuzzChromeJSON).
 fuzz-short:
-	$(GO) test -run=xxx -fuzz=FuzzParse -fuzztime=10s ./internal/sklang/
-	$(GO) test -run=xxx -fuzz=FuzzLexMatchesReference -fuzztime=10s ./internal/sklang/
-	$(GO) test -run=xxx -fuzz=FuzzChromeJSON -fuzztime=10s ./internal/trace/
-	$(GO) test -run=xxx -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/
-	$(GO) test -run=xxx -fuzz=FuzzTraceparent -fuzztime=10s ./internal/trace/
-	$(GO) test -run=xxx -fuzz=FuzzProjectRequest -fuzztime=10s ./cmd/grophecyd/
-	$(GO) test -run=xxx -fuzz=FuzzBatchRequest -fuzztime=10s ./cmd/grophecyd/
+	$(GO) test -run=xxx -fuzz=FuzzParse -fuzztime=10s -fuzzminimizetime=100x ./internal/sklang/
+	$(GO) test -run=xxx -fuzz=FuzzLexMatchesReference -fuzztime=10s -fuzzminimizetime=100x ./internal/sklang/
+	$(GO) test -run=xxx -fuzz=FuzzChromeJSON -fuzztime=10s -fuzzminimizetime=100x ./internal/trace/
+	$(GO) test -run=xxx -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=100x ./internal/store/
+	$(GO) test -run=xxx -fuzz=FuzzTraceparent -fuzztime=10s -fuzzminimizetime=100x ./internal/trace/
+	$(GO) test -run=xxx -fuzz=FuzzProjectRequest -fuzztime=10s -fuzzminimizetime=100x ./cmd/grophecyd/
+	$(GO) test -run=xxx -fuzz=FuzzBatchRequest -fuzztime=10s -fuzzminimizetime=100x ./cmd/grophecyd/
 
 fmt:
 	gofmt -w .

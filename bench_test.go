@@ -354,8 +354,9 @@ func tracedProjection(p *core.Projector, w core.Workload) error {
 
 // BenchmarkTelemetryOverhead measures what the request tracer costs
 // *relative to the bare projection*, as an overhead-pct metric the
-// regression gate bounds directly (benchjson diff -metric-max,
-// default TelemetryOverhead:overhead-pct=5).
+// regression gate bounds directly: `make bench-gate` holds the median
+// of the head runs to `benchjson ab -metric-max`, default
+// TelemetryOverhead:overhead-pct=5.
 //
 // Bare and traced projections are interleaved in small alternating
 // blocks inside one timing loop, so both sides sample the same
@@ -363,8 +364,8 @@ func tracedProjection(p *core.Projector, w core.Workload) error {
 // ratio — unlike a cross-run (or even cross-benchmark) ns/op
 // comparison, which on a shared 1-CPU host swings ±25% with
 // neighboring load. One op is one projection; ns/op reported for this
-// benchmark is the blended bare+traced cost and is deliberately not
-// in the ns gate list.
+// benchmark is the blended bare+traced cost, which the gate compares
+// against the base revision like every other benchmark's.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	c := sharedCtx(b)
 	w, err := findHotSpot()

@@ -1,6 +1,6 @@
 // Command benchjson converts `go test -bench -benchmem` output on
 // stdin into a machine-readable JSON document on stdout, so benchmark
-// runs can be persisted and diffed across commits:
+// runs can be persisted as snapshots:
 //
 //	go test -run='^$' -bench=. -benchmem ./... | benchjson > BENCH.json
 //
@@ -13,12 +13,9 @@
 // input contains no benchmark results at all — an upstream compile
 // failure would otherwise silently produce an empty document.
 //
-// The diff subcommand compares two such documents and enforces the
-// repository's benchmark regression gate:
-//
-//	benchjson diff BENCH_7.json out/bench-gate.json
-//
-// See diff.go for thresholds and exit codes.
+// `benchjson ab BASE.txt HEAD.txt` compares the raw output of the two
+// sides of an interleaved same-host A/B and enforces the repository's
+// benchmark regression gate; see ab.go.
 package main
 
 import (
@@ -53,7 +50,7 @@ type Document struct {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "diff" {
+	if len(os.Args) > 1 && os.Args[1] == "ab" {
 		os.Exit(runDiff(os.Args[2:], os.Stdout, os.Stderr))
 	}
 	doc, err := parse(bufio.NewScanner(os.Stdin))

@@ -302,11 +302,13 @@ func wantsNDJSON(req *http.Request) bool {
 // status on their row.
 func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	ctx := obs.WithLogger(req.Context(), s.cfg.Logger)
-	lg := obs.Log(obs.WithPhase(ctx, "batch"))
+	event := obs.EventFrom(ctx)
 
+	// A failure rides on the request's wide event as err, which the
+	// envelope then writes at Error level.
 	fail := func(status int, err error) {
 		mRequestErrors.Inc()
-		lg.Error("batch request rejected", "status", status, "err", err.Error())
+		event.Set("err", err.Error())
 		writeError(w, status, err)
 	}
 
@@ -417,7 +419,6 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 			mBatchJobFailures.Inc()
 		}
 	}
-	event := obs.EventFrom(ctx)
 	event.Set("jobs", len(jobs))
 	event.Set("succeeded", succeeded)
 	event.Set("failed", failed)
@@ -432,7 +433,7 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		}
 		if writeErr != nil {
 			mRequestErrors.Inc()
-			lg.Error("batch stream write failed", "err", writeErr.Error())
+			event.Set("err", writeErr.Error())
 		}
 		return
 	}
@@ -442,7 +443,7 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		// client-write failure. Nothing can be resent — the status line
 		// is gone — but the failure must not vanish.
 		mRequestErrors.Inc()
-		lg.Error("batch response write failed", "err", err.Error())
+		event.Set("err", err.Error())
 	}
 }
 

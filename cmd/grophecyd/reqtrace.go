@@ -14,12 +14,14 @@
 // flight ring, which serves a run's subtree as GET /runs/{id}/trace
 // and the whole tree as GET /runs/{id}/walltrace.
 //
-// The wide event is the one Info record per request: a single slog
-// record carrying the trace ID, tenant, outcome, queue depth at
-// admission, the request's own calibration-cache hits and misses, and
+// The wide event is the one record per request: a single slog record
+// carrying the trace ID, tenant, outcome, queue depth at admission,
+// the request's own calibration-cache hits and misses, and
 // per-span-name wall milliseconds of the service spans (queue.wait,
 // cal.*, snap.*, stage.*) — everything the per-request dashboards
-// need without joining log streams.
+// need without joining log streams. A handler that fails the request
+// sets err on it, and the record is then written at Error level
+// instead of Info; a shed request stays Info.
 package main
 
 import (
@@ -136,7 +138,8 @@ func (s *server) admitted(next http.HandlerFunc) http.HandlerFunc {
 // to every per-request surface: the latency histogram (with the trace
 // ID as an exemplar, linking the bucket back to the trace), the SLO
 // tracker (5xx counts against availability; the latency objective
-// applies its own threshold), the canonical wide event, and the OTLP
+// applies its own threshold), the canonical wide event (at Error level
+// when a handler set err on it), and the OTLP
 // sinks. Then it drops the request's hold on the tree; flight entries
 // that retain a run keep their own holds.
 func (s *server) finishRequest(tracer *trace.Tracer, event *obs.Event, status int, start time.Time) {
@@ -162,7 +165,11 @@ func (s *server) finishRequest(tracer *trace.Tracer, event *obs.Event, status in
 	for _, name := range names {
 		event.Set("ms."+name, roundMS(durs[name]))
 	}
-	s.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "request", event.Attrs()...)
+	level := slog.LevelInfo
+	if event.Has("err") {
+		level = slog.LevelError
+	}
+	s.cfg.Logger.LogAttrs(context.Background(), level, "request", event.Attrs()...)
 
 	for _, sink := range s.sinks {
 		sink.Export(tracer)

@@ -337,8 +337,8 @@ func TestOTLPFileSink(t *testing.T) {
 	}
 }
 
-// infoRecords returns the daemon's Info-level log records so far.
-func infoRecords(t *testing.T, logs *syncWriter) []map[string]any {
+// logRecords returns the daemon's log records so far.
+func logRecords(t *testing.T, logs *syncWriter) []map[string]any {
 	t.Helper()
 	var out []map[string]any
 	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
@@ -346,6 +346,16 @@ func infoRecords(t *testing.T, logs *syncWriter) []map[string]any {
 		if err := json.Unmarshal([]byte(line), &doc); err != nil {
 			t.Fatalf("log line is not JSON: %v", err)
 		}
+		out = append(out, doc)
+	}
+	return out
+}
+
+// infoRecords returns the daemon's Info-level log records so far.
+func infoRecords(t *testing.T, logs *syncWriter) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	for _, doc := range logRecords(t, logs) {
 		if doc["level"] == "INFO" {
 			out = append(out, doc)
 		}
@@ -353,23 +363,27 @@ func infoRecords(t *testing.T, logs *syncWriter) []map[string]any {
 	return out
 }
 
-// TestOneInfoRecordPerRequest: a served /project or /batch request
-// writes exactly one Info record, its wide event, which carries the
-// fields the removed per-handler lines used to.
+// TestOneInfoRecordPerRequest: a /project or /batch request writes
+// exactly one log record at any level, its wide event, which carries
+// the fields the removed per-handler lines used to. A served request's
+// record is Info; a failed one's is Error and carries err.
 func TestOneInfoRecordPerRequest(t *testing.T) {
 	srv, _, logs := startDaemon(t, daemonConfig{})
 	src := hotspotSource(t)
 	batch := `[{"workload":"HotSpot","size":"512 x 512"},{"workload":"SRAD","size":"1024 x 1024"},{"workload":"CFD","size":"97K"}]`
 	cases := []struct {
 		name, path, body, accept string
+		status                   int
 		fields                   []string
 	}{
-		{"project", "/project", src, "", []string{"speedup_full", "degradations"}},
-		{"batch", "/batch", batch, "", []string{"jobs", "succeeded", "streamed"}},
-		{"batch ndjson", "/batch", batch, ndjsonContentType, []string{"jobs", "succeeded", "streamed"}},
+		{"project", "/project", src, "", http.StatusOK, []string{"speedup_full", "degradations"}},
+		{"batch", "/batch", batch, "", http.StatusOK, []string{"jobs", "succeeded", "streamed"}},
+		{"batch ndjson", "/batch", batch, ndjsonContentType, http.StatusOK, []string{"jobs", "succeeded", "streamed"}},
+		{"project 400", "/project", "kernel {", "", http.StatusBadRequest, []string{"run", "err"}},
+		{"batch rejected", "/batch", `[{"workload":`, "", http.StatusBadRequest, []string{"err"}},
 	}
 	for _, c := range cases {
-		before := len(infoRecords(t, logs))
+		before := len(logRecords(t, logs))
 		req, err := http.NewRequest("POST", srv.URL+c.path, strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
@@ -382,12 +396,22 @@ func TestOneInfoRecordPerRequest(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := readAll(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", c.name, resp.StatusCode, body)
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s: status %d, want %d: %s", c.name, resp.StatusCode, c.status, body)
 		}
-		recs := infoRecords(t, logs)[before:]
+		recs := logRecords(t, logs)[before:]
 		if len(recs) != 1 || recs[0]["msg"] != "request" {
-			t.Fatalf("%s: %d Info records, want exactly the wide event: %v", c.name, len(recs), recs)
+			t.Fatalf("%s: %d records, want exactly the wide event: %v", c.name, len(recs), recs)
+		}
+		level := "INFO"
+		if c.status != http.StatusOK {
+			level = "ERROR"
+		}
+		if recs[0]["level"] != level {
+			t.Errorf("%s: wide event at %v, want %s", c.name, recs[0]["level"], level)
+		}
+		if _, ok := recs[0]["err"]; ok != (c.status != http.StatusOK) {
+			t.Errorf("%s: wide event err present = %v, want %v: %v", c.name, ok, !ok, recs[0])
 		}
 		for _, f := range append(c.fields, "cache_hits", "cache_misses") {
 			if _, ok := recs[0][f]; !ok {

@@ -61,9 +61,30 @@ func deepNest(n int) string {
 	return b.String()
 }
 
+// accessPerLoop is a skeleton of one kernel nesting n sequential loops
+// under its parallel one, whose innermost statement loads the array
+// once per loop variable: data usage takes each access's section
+// against the whole nest.
+func accessPerLoop(n int) string {
+	var b strings.Builder
+	b.WriteString("workload \"W\" size \"S\"\narray a[1] float32\nkernel k { parfor i in 0..1 {")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, " for v%d in 0..1 {", i)
+	}
+	b.WriteString(" stmt flops=1 {")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, " load a[i+v%d]", i)
+	}
+	b.WriteString(" }")
+	b.WriteString(strings.Repeat(" }", n+2))
+	b.WriteString("\nsequence { k }\ncpu elements=1 flops=1 bytes=4\n")
+	return b.String()
+}
+
 // TestLargeSkeletonsScaleLinearly posts generated skeletons that are
 // large in one dimension — kernels in the sequence, distinct arrays
-// in one kernel, loops in one nest — at size n and at 4n, the larger
+// in one kernel, loops in one nest, accesses over a deep nest — at
+// size n and at 4n, the larger
 // close to maxSkeletonBytes. Every pass of a request (lexing,
 // validation, memo keys, data usage, the report) must stay linear in
 // that dimension, up to a sort, so the larger request may take at
@@ -106,6 +127,7 @@ func TestLargeSkeletonsScaleLinearly(t *testing.T) {
 		{"kernels", manyKernels, 3500},
 		{"arrays", manyArrays, 6750},
 		{"nest", deepNest, 8000},
+		{"access per loop", accessPerLoop, 3000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			large := c.gen(4 * c.n)

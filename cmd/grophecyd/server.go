@@ -541,15 +541,17 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("X-Run-Id", runID)
 	ctx := obs.WithLogger(req.Context(), s.cfg.Logger)
 	ctx = obs.WithRun(ctx, runID)
-	lg := obs.Log(obs.WithPhase(ctx, "serve"))
+	event := obs.EventFrom(ctx)
+	event.Set("run", runID)
 
+	// A failure rides on the request's wide event as err, which the
+	// envelope then writes at Error level.
 	fail := func(status int, err error) {
 		mRequestErrors.Inc()
 		if errors.Is(err, errdefs.ErrCircuitOpen) {
 			w.Header().Set("Retry-After", strconv.Itoa(s.admit.retryAfterSeconds()))
 		}
-		lg.Error("projection request failed", "status", status, "err", err.Error(),
-			"duration_ms", float64(time.Since(start).Microseconds())/1e3)
+		event.Set("err", err.Error())
 		writeError(w, status, err)
 	}
 
@@ -610,8 +612,6 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	ctx = obs.WithWorkload(ctx, wl.Name)
 	ctx, run := trace.StartRun(ctx, "grophecyd")
 
-	event := obs.EventFrom(ctx)
-	event.Set("run", runID)
 	event.Set("workload", wl.Name)
 	event.Set("target", tgt.Name)
 	event.Set("backend", backendName)

@@ -247,9 +247,9 @@ func mustGet(t *testing.T, name string) Backend {
 
 // BenchmarkBackendDispatch prices the Backend interface indirection
 // on the projection hot path: one transfer prediction through a
-// calibrated Instance. Gated by make bench-gate — the refactor's
-// dispatch must stay in the same cost class as calling the bus model
-// directly.
+// calibrated Instance. Gated by make bench-gate against the base
+// revision, like every benchmark in its run set — the dispatch must
+// stay in the same cost class as calling the bus model directly.
 func BenchmarkBackendDispatch(b *testing.B) {
 	inst, _, err := analyticBackend{}.Calibrate(context.Background(), components(7), xfermodel.DefaultCalibration())
 	if err != nil {

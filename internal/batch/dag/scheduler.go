@@ -32,8 +32,11 @@ type Hooks struct {
 	// Run returned, or the pool's error when the job never executed (a
 	// recovered panic, a context cancelled before its turn).
 	Done func(i int, err error)
-	// Skip observes that job i will never run because its parent
-	// (direct, already terminal) failed or was itself skipped.
+	// Skip observes that job i will never run because parent, a
+	// direct parent, failed or was itself skipped. It fires just before
+	// Emit(i), once every parent is terminal, and names the first
+	// parent in dependency order that did not succeed, so the blame
+	// does not depend on which parent happened to finish first.
 	Skip func(i, parent int)
 	// Emit observes job i becoming reportable, in emission order.
 	Emit func(i int)
@@ -77,22 +80,21 @@ func (g *Graph) Run(ctx context.Context, workers int, h Hooks) {
 	// skipCone marks i and its pending descendants skipped. Recursion
 	// depth is bounded by the graph depth, itself bounded by the batch
 	// job cap.
-	var skipCone func(i, parent int)
-	skipCone = func(i, parent int) {
+	var skipCone func(i int)
+	skipCone = func(i int) {
 		if state[i] != statePending {
 			return
 		}
 		state[i] = stateSkipped
 		remaining--
-		if h.Skip != nil {
-			h.Skip(i, parent)
-		}
 		for _, c := range g.children[i] {
-			skipCone(c, i)
+			skipCone(c)
 		}
 	}
 
 	// flush emits every terminal job at the head of the emission order.
+	// The order is topological, so a job's parents are all terminal by
+	// the time it reaches the head.
 	flush := func() {
 		for emitted < n {
 			i := g.order[emitted]
@@ -100,6 +102,14 @@ func (g *Graph) Run(ctx context.Context, workers int, h Hooks) {
 				return
 			}
 			emitted++
+			if state[i] == stateSkipped && h.Skip != nil {
+				for _, p := range g.parents[i] {
+					if state[p] != stateSucceeded {
+						h.Skip(i, p)
+						break
+					}
+				}
+			}
 			if h.Emit != nil {
 				h.Emit(i)
 			}
@@ -133,7 +143,7 @@ func (g *Graph) Run(ctx context.Context, workers int, h Hooks) {
 		} else {
 			state[i] = stateFailed
 			for _, c := range g.children[i] {
-				skipCone(c, i)
+				skipCone(c)
 			}
 		}
 		flush()

@@ -103,11 +103,41 @@ func TestRunSkipsDescendantCone(t *testing.T) {
 	if lg.skipped[1] != 0 || lg.skipped[2] != 0 {
 		t.Errorf("direct children blame %d/%d, want parent 0", lg.skipped[1], lg.skipped[2])
 	}
-	if p := lg.skipped[3]; p != 1 && p != 2 {
-		t.Errorf("grandchild blames %d, want a direct skipped parent", p)
+	if p := lg.skipped[3]; p != 1 {
+		t.Errorf("grandchild blames %d, want its first parent 1", p)
 	}
 	if len(lg.emitted) != 5 {
 		t.Errorf("emitted %v, want all 5 jobs", lg.emitted)
+	}
+}
+
+// TestRunSkipBlamesFirstFailedParent: a job whose parents all fail
+// names the first of them in dependency order, whichever finished
+// first. Here the second parent fails first: the first one returns
+// only after the scheduler has seen the second's failure.
+func TestRunSkipBlamesFirstFailedParent(t *testing.T) {
+	g, err := Build([]Node{node("a"), node("b"), node("c", "a", "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bDone := make(chan struct{})
+	skipped := map[int]int{}
+	g.Run(context.Background(), 2, Hooks{
+		Run: func(i int) error {
+			if i == 0 {
+				<-bDone
+			}
+			return errors.New("boom")
+		},
+		Done: func(i int, err error) {
+			if i == 1 {
+				close(bDone)
+			}
+		},
+		Skip: func(i, parent int) { skipped[i] = parent },
+	})
+	if p, ok := skipped[2]; !ok || p != 0 {
+		t.Fatalf("c skipped = %v blaming %d, want blaming its first parent a (0)", ok, p)
 	}
 }
 

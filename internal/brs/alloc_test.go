@@ -12,8 +12,8 @@ import (
 // bust long before it shows up in a benchmark diff.
 
 func TestUnionAllocBudget(t *testing.T) {
-	ac, loops := benchAccess()
-	s1 := FromAccess(ac, loops)
+	ac, nest := benchAccess()
+	s1 := FromAccess(ac, nest)
 	s2 := s1
 	s2.Bounds = append([]Bound(nil), s1.Bounds...)
 	s2.Bounds[0].Lo += 7
@@ -27,8 +27,8 @@ func TestUnionAllocBudget(t *testing.T) {
 }
 
 func TestIntersectAllocBudget(t *testing.T) {
-	ac, loops := benchAccess()
-	s1 := FromAccess(ac, loops)
+	ac, nest := benchAccess()
+	s1 := FromAccess(ac, nest)
 	s2 := s1
 	s2.Bounds = append([]Bound(nil), s1.Bounds...)
 	s2.Bounds[0].Lo += 3

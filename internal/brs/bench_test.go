@@ -6,10 +6,10 @@ import (
 	"grophecy/internal/skeleton"
 )
 
-func benchAccess() (skeleton.Access, []skeleton.Loop) {
+func benchAccess() (skeleton.Access, skeleton.LoopIndex) {
 	a := skeleton.NewArray("a", skeleton.Float32, 4096, 4096)
 	loops := []skeleton.Loop{skeleton.ParLoop("i", 4096), skeleton.ParLoop("j", 4096)}
-	return skeleton.LoadOf(a, skeleton.IdxPlus("i", -1), skeleton.IdxPlus("j", 1)), loops
+	return skeleton.LoadOf(a, skeleton.IdxPlus("i", -1), skeleton.IdxPlus("j", 1)), skeleton.NewLoopIndex(loops)
 }
 
 // highRankSections builds a pair of overlapping rank-r sections over
@@ -30,15 +30,15 @@ func highRankSections(r int, shift int64) (Section, Section) {
 }
 
 func BenchmarkFromAccess(b *testing.B) {
-	ac, loops := benchAccess()
+	ac, nest := benchAccess()
 	for i := 0; i < b.N; i++ {
-		_ = FromAccess(ac, loops)
+		_ = FromAccess(ac, nest)
 	}
 }
 
 func BenchmarkUnion(b *testing.B) {
-	ac, loops := benchAccess()
-	s1 := FromAccess(ac, loops)
+	ac, nest := benchAccess()
+	s1 := FromAccess(ac, nest)
 	s2 := s1
 	s2.Bounds = append([]Bound(nil), s1.Bounds...)
 	s2.Bounds[0].Lo += 7
@@ -48,8 +48,8 @@ func BenchmarkUnion(b *testing.B) {
 }
 
 func BenchmarkIntersect(b *testing.B) {
-	ac, loops := benchAccess()
-	s1 := FromAccess(ac, loops)
+	ac, nest := benchAccess()
+	s1 := FromAccess(ac, nest)
 	s2 := s1
 	for i := 0; i < b.N; i++ {
 		_, _ = Intersect(s1, s2)
@@ -64,8 +64,8 @@ func BenchmarkUnionHighRank(b *testing.B) {
 }
 
 func BenchmarkSetAddCovers(b *testing.B) {
-	ac, loops := benchAccess()
-	s := FromAccess(ac, loops)
+	ac, nest := benchAccess()
+	s := FromAccess(ac, nest)
 	for i := 0; i < b.N; i++ {
 		set := NewSet()
 		set.Add(s)

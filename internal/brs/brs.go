@@ -162,8 +162,10 @@ func WholeArray(a *skeleton.Array) Section {
 // the loop nest it executes under. Affine indices produce exact
 // per-dimension bounds, clamped to the array extents (out-of-range
 // offsets from stencil halos are guarded in the original code).
-// Irregular accesses produce a whole-array section.
-func FromAccess(ac skeleton.Access, loops []skeleton.Loop) Section {
+// Irregular accesses produce a whole-array section. The caller indexes
+// the nest once and passes the index to every access of the kernel,
+// so a kernel's sections cost time linear in its accesses and loops.
+func FromAccess(ac skeleton.Access, nest skeleton.LoopIndex) Section {
 	if err := ac.Validate(); err != nil {
 		panic(err)
 	}
@@ -171,7 +173,6 @@ func FromAccess(ac skeleton.Access, loops []skeleton.Loop) Section {
 	if ac.Irregular() {
 		return WholeArray(ac.Array)
 	}
-	nest := skeleton.NewLoopIndex(loops)
 	bounds := make([]Bound, len(ac.Index))
 	for dim, e := range ac.Index {
 		lo, hi := e.Const, e.Const
@@ -183,7 +184,7 @@ func FromAccess(ac skeleton.Access, loops []skeleton.Loop) Section {
 			if at < 0 {
 				panic(fmt.Sprintf("brs: access %s references loop %q not in nest", ac.String(), v))
 			}
-			l := loops[at]
+			l := nest.Loop(at)
 			if l.Trips() == 0 {
 				emptyLoop = true
 				break

@@ -87,7 +87,7 @@ func loops2D(n int64) []skeleton.Loop {
 
 func TestFromAccessSimple(t *testing.T) {
 	a := grid(t, 64)
-	s := FromAccess(skeleton.LoadOf(a, skeleton.Idx("i"), skeleton.Idx("j")), loops2D(64))
+	s := FromAccess(skeleton.LoadOf(a, skeleton.Idx("i"), skeleton.Idx("j")), skeleton.NewLoopIndex(loops2D(64)))
 	if s.Whole {
 		t.Fatal("affine access produced whole-array section")
 	}
@@ -112,7 +112,7 @@ func TestFromAccessHaloClamped(t *testing.T) {
 	// A stencil access grid[i-1][j+1] over i,j in [0,64) is clamped
 	// to the array extents.
 	a := grid(t, 64)
-	s := FromAccess(skeleton.LoadOf(a, skeleton.IdxPlus("i", -1), skeleton.IdxPlus("j", 1)), loops2D(64))
+	s := FromAccess(skeleton.LoadOf(a, skeleton.IdxPlus("i", -1), skeleton.IdxPlus("j", 1)), skeleton.NewLoopIndex(loops2D(64)))
 	if s.Bounds[0] != (Bound{0, 62, 1}) {
 		t.Errorf("dim 0 = %+v", s.Bounds[0])
 	}
@@ -124,7 +124,7 @@ func TestFromAccessHaloClamped(t *testing.T) {
 func TestFromAccessStride(t *testing.T) {
 	a := skeleton.NewArray("v", skeleton.Float32, 128)
 	s := FromAccess(skeleton.LoadOf(a, skeleton.IndexExpr{Coeffs: map[string]int64{"i": 2}}),
-		[]skeleton.Loop{skeleton.ParLoop("i", 64)})
+		skeleton.NewLoopIndex([]skeleton.Loop{skeleton.ParLoop("i", 64)}))
 	if s.Bounds[0] != (Bound{0, 126, 2}) {
 		t.Errorf("bound = %+v", s.Bounds[0])
 	}
@@ -135,7 +135,7 @@ func TestFromAccessStride(t *testing.T) {
 
 func TestFromAccessConstIndex(t *testing.T) {
 	a := skeleton.NewArray("v", skeleton.Float32, 128)
-	s := FromAccess(skeleton.LoadOf(a, skeleton.IdxConst(7)), nil)
+	s := FromAccess(skeleton.LoadOf(a, skeleton.IdxConst(7)), skeleton.NewLoopIndex(nil))
 	if s.Bounds[0] != (Bound{7, 7, 1}) {
 		t.Errorf("bound = %+v", s.Bounds[0])
 	}
@@ -149,7 +149,7 @@ func TestFromAccessMultiVarFlattened(t *testing.T) {
 	// (gcd of 16 and 1).
 	a := skeleton.NewArray("v", skeleton.Float32, 128)
 	loops := []skeleton.Loop{skeleton.ParLoop("i", 8), skeleton.ParLoop("j", 16)}
-	s := FromAccess(skeleton.LoadOf(a, skeleton.IndexExpr{Coeffs: map[string]int64{"i": 16, "j": 1}}), loops)
+	s := FromAccess(skeleton.LoadOf(a, skeleton.IndexExpr{Coeffs: map[string]int64{"i": 16, "j": 1}}), skeleton.NewLoopIndex(loops))
 	if s.Bounds[0] != (Bound{0, 127, 1}) {
 		t.Errorf("bound = %+v", s.Bounds[0])
 	}
@@ -158,7 +158,7 @@ func TestFromAccessMultiVarFlattened(t *testing.T) {
 func TestFromAccessIrregular(t *testing.T) {
 	a := skeleton.NewArray("x", skeleton.Float32, 100)
 	s := FromAccess(skeleton.LoadOf(a, skeleton.IdxIrregular()),
-		[]skeleton.Loop{skeleton.ParLoop("i", 10)})
+		skeleton.NewLoopIndex([]skeleton.Loop{skeleton.ParLoop("i", 10)}))
 	if !s.Whole {
 		t.Fatal("irregular access should give whole-array section")
 	}
@@ -170,7 +170,7 @@ func TestFromAccessIrregular(t *testing.T) {
 func TestFromAccessSparseArray(t *testing.T) {
 	sp := &skeleton.Array{Name: "csr", Dims: []int64{500}, Elem: skeleton.Float32, Sparse: true}
 	s := FromAccess(skeleton.LoadOf(sp, skeleton.Idx("i")),
-		[]skeleton.Loop{skeleton.ParLoop("i", 500)})
+		skeleton.NewLoopIndex([]skeleton.Loop{skeleton.ParLoop("i", 500)}))
 	if !s.Whole {
 		t.Error("sparse array access should be conservative whole-array")
 	}
@@ -179,7 +179,7 @@ func TestFromAccessSparseArray(t *testing.T) {
 func TestFromAccessEmptyLoop(t *testing.T) {
 	a := skeleton.NewArray("v", skeleton.Float32, 16)
 	s := FromAccess(skeleton.LoadOf(a, skeleton.Idx("i")),
-		[]skeleton.Loop{{Var: "i", Lower: 4, Upper: 4, Step: 1, Parallel: true}})
+		skeleton.NewLoopIndex([]skeleton.Loop{{Var: "i", Lower: 4, Upper: 4, Step: 1, Parallel: true}}))
 	if !s.Empty() {
 		t.Errorf("empty loop section not empty: %+v", s)
 	}
@@ -192,14 +192,14 @@ func TestFromAccessPanicsOnUnknownLoop(t *testing.T) {
 			t.Fatal("unknown loop var did not panic")
 		}
 	}()
-	FromAccess(skeleton.LoadOf(a, skeleton.Idx("q")), nil)
+	FromAccess(skeleton.LoadOf(a, skeleton.Idx("q")), skeleton.NewLoopIndex(nil))
 }
 
 func TestSectionContainsAndOverlaps(t *testing.T) {
 	a := grid(t, 64)
-	full := FromAccess(skeleton.LoadOf(a, skeleton.Idx("i"), skeleton.Idx("j")), loops2D(64))
+	full := FromAccess(skeleton.LoadOf(a, skeleton.Idx("i"), skeleton.Idx("j")), skeleton.NewLoopIndex(loops2D(64)))
 	inner := FromAccess(skeleton.LoadOf(a, skeleton.IdxPlus("i", 1), skeleton.IdxPlus("j", 1)),
-		[]skeleton.Loop{skeleton.ParLoop("i", 32), skeleton.ParLoop("j", 32)})
+		skeleton.NewLoopIndex([]skeleton.Loop{skeleton.ParLoop("i", 32), skeleton.ParLoop("j", 32)}))
 	if !full.Contains(inner) {
 		t.Error("full should contain inner")
 	}
@@ -229,7 +229,7 @@ func TestWholeArraySection(t *testing.T) {
 		t.Errorf("String = %q", w.String())
 	}
 	sub := FromAccess(skeleton.LoadOf(a, skeleton.IdxConst(0), skeleton.Idx("j")),
-		[]skeleton.Loop{skeleton.ParLoop("j", 8)})
+		skeleton.NewLoopIndex([]skeleton.Loop{skeleton.ParLoop("j", 8)}))
 	if !w.Contains(sub) {
 		t.Error("whole should contain sub")
 	}
@@ -326,7 +326,7 @@ func TestIntersectPanicsOnDifferentArrays(t *testing.T) {
 
 func TestSectionString(t *testing.T) {
 	a := grid(t, 64)
-	s := FromAccess(skeleton.LoadOf(a, skeleton.Idx("i"), skeleton.Idx("j")), loops2D(64))
+	s := FromAccess(skeleton.LoadOf(a, skeleton.Idx("i"), skeleton.Idx("j")), skeleton.NewLoopIndex(loops2D(64)))
 	if got := s.String(); got != "grid[0:63][0:63]" {
 		t.Errorf("String = %q", got)
 	}
@@ -436,7 +436,7 @@ func TestQuickFromAccessBytesNonNegative(t *testing.T) {
 	a := skeleton.NewArray("v", skeleton.Float32, 4096)
 	prop := func(off int8, n uint8) bool {
 		loops := []skeleton.Loop{skeleton.ParLoop("i", int64(n)+1)}
-		s := FromAccess(skeleton.LoadOf(a, skeleton.IdxPlus("i", int64(off))), loops)
+		s := FromAccess(skeleton.LoadOf(a, skeleton.IdxPlus("i", int64(off))), skeleton.NewLoopIndex(loops))
 		return s.Bytes() >= 0 && s.Count() <= a.Count()
 	}
 	if err := quick.Check(prop, nil); err != nil {

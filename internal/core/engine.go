@@ -108,8 +108,8 @@ func DefaultEngine() *Engine { return defaultEngine }
 // projector. It owns the evaluation-level observability — the
 // "evaluate" span whose simulated clock advances by the projected GPU
 // time, the start/finish debug lines, the evaluation counter — while
-// each stage traces and meters itself. The daemon's one Info record
-// per request is its wide event, not these lines.
+// each stage traces and meters itself. The daemon's one Info or
+// Error record per request is its wide event, not these lines.
 func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report, error) {
 	if p == nil {
 		return Report{}, errdefs.Invalidf("core: Evaluate with nil projector")

@@ -207,6 +207,7 @@ func AnalyzeOpt(seq *skeleton.Sequence, hints Hints, opts Options) (Plan, error)
 	var preciseOrder []*skeleton.Array
 
 	for _, k := range seq.Kernels {
+		nest := skeleton.NewLoopIndex(k.Loops)
 		for _, st := range k.Stmts {
 			// Within a statement, loads execute before stores: the
 			// operands of a statement are read before its result is
@@ -215,7 +216,7 @@ func AnalyzeOpt(seq *skeleton.Sequence, hints Hints, opts Options) (Plan, error)
 				if ac.Kind != skeleton.Load {
 					continue
 				}
-				sec := hints.sectionFor(brs.FromAccess(ac, k.Loops))
+				sec := hints.sectionFor(brs.FromAccess(ac, nest))
 				resident.Add(sec)
 				if sec.Empty() || written.Covers(sec) {
 					continue
@@ -248,7 +249,7 @@ func AnalyzeOpt(seq *skeleton.Sequence, hints Hints, opts Options) (Plan, error)
 				if ac.Kind != skeleton.Store {
 					continue
 				}
-				sec := hints.sectionFor(brs.FromAccess(ac, k.Loops))
+				sec := hints.sectionFor(brs.FromAccess(ac, nest))
 				resident.Add(sec)
 				written.Add(sec)
 				writes.Add(sec)

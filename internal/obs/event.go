@@ -51,6 +51,17 @@ func (e *Event) Set(key string, value any) {
 	e.vals[key] = slog.AnyValue(value)
 }
 
+// Has reports whether the event carries a field under key.
+func (e *Event) Has(key string) bool {
+	if e == nil {
+		return false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, ok := e.vals[key]
+	return ok
+}
+
 // Attrs returns the accumulated fields in first-insertion order,
 // ready for slog.LogAttrs.
 func (e *Event) Attrs() []slog.Attr {

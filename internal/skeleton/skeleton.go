@@ -539,6 +539,9 @@ func (x LoopIndex) Of(v string) int {
 	return -1
 }
 
+// Loop returns the loop at position i of the nest.
+func (x LoopIndex) Loop(i int) Loop { return x.loops[i] }
+
 // effectiveDepth resolves a statement's Depth (0 means innermost).
 func (k *Kernel) effectiveDepth(s Statement) int {
 	if s.Depth == 0 {
