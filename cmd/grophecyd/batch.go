@@ -127,12 +127,12 @@ type jobOutcome struct {
 	id        string
 	dependsOn []string
 	runID     string
-	report    []byte // report.JSON bytes, or report.CompactJSON when streamed; nil on failure
+	report    []byte       // report.JSON bytes, or report.CompactJSON when streamed; nil on failure
+	rep       *core.Report // the projection, nil when it failed; feeds fromParent selection
 	wl        string
 	tgt       string
 	backend   string
 	seed      uint64
-	speedup   float64 // projected full speedup; feeds fromParent selection
 	err       error
 }
 
@@ -257,7 +257,7 @@ func validateSelectors(jobs []batchJob, g *dag.Graph) error {
 func bestParent(parents []int, outcomes []jobOutcome) int {
 	best := parents[0]
 	for _, p := range parents[1:] {
-		v, b := outcomes[p].speedup, outcomes[best].speedup
+		v, b := outcomes[p].rep.SpeedupFull(), outcomes[best].rep.SpeedupFull()
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			continue
 		}
@@ -312,7 +312,7 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		writeError(w, status, err)
 	}
 
-	body, err := io.ReadAll(req.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBatchBytes))
 	if err != nil {
 		fail(http.StatusBadRequest, fmt.Errorf("reading batch body: %w", err))
 		return
@@ -370,7 +370,7 @@ func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
 					r.err = err
 				}
 			}
-			outcomes[i] = s.runJob(ctx, r, stream)
+			outcomes[i] = s.runJob(ctx, r, obs.NewRunID(), stream)
 			return outcomes[i].err
 		},
 		Done: func(i int, err error) {
@@ -461,13 +461,15 @@ func staticOutcome(r resolvedJob) jobOutcome {
 	}
 }
 
-// runJob executes one resolved job: its own run ID, run span (with
+// runJob executes one resolved job as run runID: its run span (with
 // its own simulated clock, under the request's tree), flight record,
-// and projection through the shared pool — exactly the /project
-// request lifecycle. A streamed job encodes its report compactly,
-// ready for its one-line NDJSON row; a buffered job keeps the
-// single-call response bytes.
-func (s *server) runJob(ctx context.Context, r resolvedJob, stream bool) jobOutcome {
+// and projection on a machine private to the run, calibrated through
+// the shared pool. It is the one run lifecycle of POST /project and
+// of every POST /batch job. A streamed job encodes its report
+// compactly, ready for its one-line NDJSON row; otherwise the report
+// is the single-call response bytes. A job that failed resolution
+// does not run and its row carries no run ID.
+func (s *server) runJob(ctx context.Context, r resolvedJob, runID string, stream bool) jobOutcome {
 	out := jobOutcome{
 		id:        r.id,
 		dependsOn: r.dependsOn,
@@ -480,10 +482,9 @@ func (s *server) runJob(ctx context.Context, r resolvedJob, stream bool) jobOutc
 		return out
 	}
 	out.wl = r.wl.Name
+	out.runID = runID
 
 	start := time.Now()
-	runID := obs.NewRunID()
-	out.runID = runID
 	ctx = obs.WithRun(ctx, runID)
 	ctx = obs.WithWorkload(ctx, r.wl.Name)
 	ctx, run := trace.StartRun(ctx, "grophecyd")
@@ -500,7 +501,11 @@ func (s *server) runJob(ctx context.Context, r resolvedJob, stream bool) jobOutc
 		DependsOn: r.dependsOn,
 		Start:     start,
 	}
-	rep, err := s.project(ctx, r.tgt, r.backend, r.seed, r.wl)
+	var rep core.Report
+	p, err := s.pool.Projector(ctx, r.tgt, r.backend, r.seed, r.tgt.Memory)
+	if err == nil {
+		rep, err = p.Evaluate(ctx, r.wl)
+	}
 	run.End()
 	entry.Run = run
 	entry.Duration = time.Since(start)
@@ -513,7 +518,7 @@ func (s *server) runJob(ctx context.Context, r resolvedJob, stream bool) jobOutc
 	entry.Report = rep
 	s.recorder.Add(entry)
 
-	out.speedup = rep.SpeedupFull()
+	out.rep = &rep
 	if stream {
 		out.report, out.err = report.CompactJSON(rep)
 	} else {

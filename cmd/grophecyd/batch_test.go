@@ -223,6 +223,22 @@ func TestBatchRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestBatchBodyOverCap: a /batch body over maxBatchBytes fails inside
+// the handler's read with a 400, even when what it carries would be a
+// valid batch.
+func TestBatchBodyOverCap(t *testing.T) {
+	srv, _, _ := startDaemon(t, daemonConfig{})
+	job := `[{"workload": "Stassuij"}`
+	body := job + strings.Repeat(" ", maxBatchBytes-len(job)) + "]"
+	resp, raw := post(t, srv.URL+"/batch", body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "reading batch body") {
+		t.Errorf("body of %d bytes: status %d, want 400 from the body read\n%.200s", len(body), resp.StatusCode, raw)
+	}
+	if resp, raw := post(t, srv.URL+"/batch", body[:len(job)]+"]"); resp.StatusCode != http.StatusOK {
+		t.Errorf("the same batch under the cap: status %d\n%.200s", resp.StatusCode, raw)
+	}
+}
+
 // TestNamedWorkloadResolution: every paper benchmark resolves by
 // name, Stassuij rejects a size, and unknown names error.
 func TestNamedWorkloadResolution(t *testing.T) {

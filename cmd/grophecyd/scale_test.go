@@ -81,9 +81,23 @@ func accessPerLoop(n int) string {
 	return b.String()
 }
 
+// accessesOfOneArray is a skeleton of one kernel whose statement loads
+// one array at n distinct offsets: data usage unions every access's
+// section into that array's one upload section.
+func accessesOfOneArray(n int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "workload \"W\" size \"S\"\narray a[%d] float32\nkernel k { parfor i in 0..1 { stmt flops=1 {", n+1)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, " load a[i+%d]", i)
+	}
+	b.WriteString(" } } }\nsequence { k }\ncpu elements=1 flops=1 bytes=4\n")
+	return b.String()
+}
+
 // TestLargeSkeletonsScaleLinearly posts generated skeletons that are
 // large in one dimension — kernels in the sequence, distinct arrays
-// in one kernel, loops in one nest, accesses over a deep nest — at
+// in one kernel, loops in one nest, accesses over a deep nest,
+// accesses of one array in one kernel — at
 // size n and at 4n, the larger
 // close to maxSkeletonBytes. Every pass of a request (lexing,
 // validation, memo keys, data usage, the report) must stay linear in
@@ -128,6 +142,7 @@ func TestLargeSkeletonsScaleLinearly(t *testing.T) {
 		{"arrays", manyArrays, 6750},
 		{"nest", deepNest, 8000},
 		{"access per loop", accessPerLoop, 3000},
+		{"accesses of one array", accessesOfOneArray, 15000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			large := c.gen(4 * c.n)

@@ -28,7 +28,6 @@ import (
 	"grophecy/internal/metrics"
 	"grophecy/internal/obs"
 	"grophecy/internal/pcie"
-	"grophecy/internal/report"
 	"grophecy/internal/sklang"
 	"grophecy/internal/slo"
 	"grophecy/internal/store"
@@ -231,8 +230,8 @@ func newServer(cfg daemonConfig) (*server, error) {
 		// Write-through: every completed calibration is persisted as it
 		// lands, so even a SIGKILL loses at most the flight in progress.
 		// A failed write degrades durability, not serving.
-		poolCfg.OnCalibrated = func(ctx context.Context, e engine.Entry) {
-			if err := st.Put(ctx, storeEntry(e)); err != nil {
+		poolCfg.OnCalibrated = func(ctx context.Context, e store.Entry) {
+			if err := st.Put(ctx, e); err != nil {
 				cfg.Logger.Warn("calibration write-through failed", "err", err.Error())
 			}
 		}
@@ -243,7 +242,7 @@ func newServer(cfg daemonConfig) (*server, error) {
 		if err != nil {
 			return nil, err
 		}
-		warmed := s.pool.Warm(engineEntries(res.Entries))
+		warmed := s.pool.Warm(res.Entries)
 		s.snap.SetLoaded(s.store.Dir(), warmed, res.Stale, res.Quarantined, res.Duration)
 		cfg.Logger.Info("calibration snapshot loaded",
 			"dir", s.store.Dir(), "warmed", warmed,
@@ -274,7 +273,7 @@ func newServer(cfg daemonConfig) (*server, error) {
 	})
 	s.recorder.Mount(s.mux)
 	s.mux.HandleFunc("POST /project", s.admitted(s.handleProject))
-	s.mux.HandleFunc("POST /batch", s.admitted(obs.LimitBody(maxBatchBytes, s.handleBatch)))
+	s.mux.HandleFunc("POST /batch", s.admitted(s.handleBatch))
 	s.mux.HandleFunc("GET /targets", s.handleTargets)
 	s.mux.HandleFunc("GET /backends", s.handleBackends)
 	s.mux.HandleFunc("GET /statusz", s.handleStatusz)
@@ -291,29 +290,6 @@ func (s *server) closeSinks() {
 	}
 }
 
-// storeEntry and engineEntries convert between the pool's and the
-// snapshot store's entry shapes; the two packages deliberately do not
-// import each other, so the daemon owns the translation.
-func storeEntry(e engine.Entry) store.Entry {
-	return store.Entry{
-		Key:   store.Key{Target: e.Key.Target, Backend: e.Key.Backend, Kind: e.Key.Kind, Seed: e.Key.Seed},
-		Model: e.Model,
-		Fit:   e.Fit,
-	}
-}
-
-func engineEntries(es []store.Entry) []engine.Entry {
-	out := make([]engine.Entry, len(es))
-	for i, e := range es {
-		out[i] = engine.Entry{
-			Key:   engine.Key{Target: e.Key.Target, Backend: e.Key.Backend, Kind: e.Key.Kind, Seed: e.Key.Seed},
-			Model: e.Model,
-			Fit:   e.Fit,
-		}
-	}
-	return out
-}
-
 // saveSnapshot persists every completed calibration to the store —
 // the periodic ticker and graceful shutdown both land here. A no-op
 // when persistence is disabled.
@@ -321,12 +297,7 @@ func (s *server) saveSnapshot() error {
 	if s.store == nil {
 		return nil
 	}
-	entries := s.pool.Export()
-	out := make([]store.Entry, len(entries))
-	for i, e := range entries {
-		out[i] = storeEntry(e)
-	}
-	return s.store.SaveAll(context.Background(), out)
+	return s.store.SaveAll(context.Background(), s.pool.Export())
 }
 
 // calibrateProbeAttempts bounds the startup probe's own retry loop;
@@ -459,7 +430,7 @@ func (s *server) busProfile(t target.Target) busJSON {
 		Lanes:  t.BusLanes,
 		Memory: t.Memory.String(),
 	}
-	entry, ok := s.pool.Cached(s.pool.Key(t.Name, backend.DefaultName, t.Memory, s.cfg.Seed))
+	model, ok := s.pool.Cached(s.pool.Key(t.Name, backend.DefaultName, t.Memory, s.cfg.Seed))
 	b.Calibrated = ok
 	for d := pcie.Direction(0); d < pcie.NumDirections; d++ {
 		dir := busDirJSON{
@@ -468,7 +439,7 @@ func (s *server) busProfile(t target.Target) busJSON {
 			BandwidthBps: t.Bus.Pinned[d].Bandwidth,
 		}
 		if ok {
-			alpha, beta := entry.Model.Dir[d].Alpha, entry.Model.Dir[d].Beta
+			alpha, beta := model.Dir[d].Alpha, model.Dir[d].Beta
 			dir.Alpha, dir.Beta = &alpha, &beta
 		}
 		b.Directions = append(b.Directions, dir)
@@ -531,16 +502,16 @@ func (s *server) handleBackends(w http.ResponseWriter, req *http.Request) {
 // skeleton source (.sk); optional query parameters `iters` (override
 // the iteration count), `seed` (override the machine seed), and
 // `target` (project onto a registered hardware target instead of the
-// daemon's default). The response is the same report JSON the CLI's
-// -json flag prints, and the completed run — report, trace, error —
-// lands in the flight recorder under the X-Run-ID response header.
-// Errors are JSON: {"error": "...", "status": N}.
+// daemon's default). It validates the request into a resolvedJob and
+// runs it through runJob, the lifecycle every batch job shares. The
+// response is the same report JSON the CLI's -json flag prints, and
+// the completed run — report, trace, error — lands in the flight
+// recorder under the X-Run-ID response header, which every response
+// carries. Errors are JSON: {"error": "...", "status": N}.
 func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
-	start := time.Now()
 	runID := obs.NewRunID()
 	w.Header().Set("X-Run-Id", runID)
 	ctx := obs.WithLogger(req.Context(), s.cfg.Logger)
-	ctx = obs.WithRun(ctx, runID)
 	event := obs.EventFrom(ctx)
 	event.Set("run", runID)
 
@@ -560,8 +531,8 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 		fail(http.StatusBadRequest, fmt.Errorf("reading skeleton body: %w", err))
 		return
 	}
-	src := string(body)
-	wl, err := sklang.Parse(src)
+	r := resolvedJob{tgt: s.tgt, backend: backend.DefaultName, seed: s.cfg.Seed, src: string(body)}
+	r.wl, err = sklang.Parse(r.src)
 	if errors.Is(err, sklang.ErrNotWorkload) {
 		fail(http.StatusUnprocessableEntity,
 			errors.New("multi-phase program files are not supported; POST a single-workload skeleton"))
@@ -573,9 +544,8 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	}
 
 	query := req.URL.Query()
-	seed := s.cfg.Seed
 	if qs := query.Get("seed"); qs != "" {
-		seed, err = strconv.ParseUint(qs, 10, 64)
+		r.seed, err = strconv.ParseUint(qs, 10, 64)
 		if err != nil {
 			fail(http.StatusBadRequest, fmt.Errorf("bad seed %q: %w", qs, err))
 			return
@@ -587,18 +557,16 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 			fail(http.StatusBadRequest, fmt.Errorf("bad iteration count %q", qi))
 			return
 		}
-		wl = wl.WithIterations(n)
+		r.wl = r.wl.WithIterations(n)
 	}
-	tgt := s.tgt
 	if qt := query.Get("target"); qt != "" {
-		tgt, err = target.Lookup(qt)
+		r.tgt, err = target.Lookup(qt)
 		if err != nil {
 			// target.Lookup's message lists the registered names.
 			fail(http.StatusBadRequest, err)
 			return
 		}
 	}
-	backendName := backend.DefaultName
 	if qb := query.Get("backend"); qb != "" {
 		b, err := backend.Get(qb)
 		if err != nil {
@@ -606,55 +574,23 @@ func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 			fail(http.StatusBadRequest, err)
 			return
 		}
-		backendName = b.Name()
+		r.backend = b.Name()
 	}
 
-	ctx = obs.WithWorkload(ctx, wl.Name)
-	ctx, run := trace.StartRun(ctx, "grophecyd")
+	event.Set("workload", r.wl.Name)
+	event.Set("target", r.tgt.Name)
+	event.Set("backend", r.backend)
+	event.Set("seed", r.seed)
 
-	event.Set("workload", wl.Name)
-	event.Set("target", tgt.Name)
-	event.Set("backend", backendName)
-	event.Set("seed", seed)
-
-	entry := flight.Entry{
-		ID:       runID,
-		Workload: wl.Name,
-		DataSize: wl.DataSize,
-		Source:   src,
-		Seed:     seed,
-		Start:    start,
+	out := s.runJob(ctx, r, runID, false)
+	if out.rep != nil {
+		event.Set("speedup_full", fmt.Sprintf("%.3g", out.rep.SpeedupFull()))
+		event.Set("degradations", len(out.rep.Degradations))
 	}
-	rep, err := s.project(ctx, tgt, backendName, seed, wl)
-	run.End()
-	entry.Run = run
-	entry.Duration = time.Since(start)
-	if err != nil {
-		entry.Err = err.Error()
-		s.recorder.Add(entry)
-		fail(httpStatus(err), err)
-		return
-	}
-	entry.Report = rep
-	s.recorder.Add(entry)
-	event.Set("speedup_full", fmt.Sprintf("%.3g", rep.SpeedupFull()))
-	event.Set("degradations", len(rep.Degradations))
-
-	data, err := report.JSON(rep)
-	if err != nil {
-		fail(http.StatusInternalServerError, err)
+	if out.err != nil {
+		fail(httpStatus(out.err), out.err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-}
-
-// project runs one full evaluation on a machine private to this
-// request, calibrated through the cache.
-func (s *server) project(ctx context.Context, tgt target.Target, backendName string, seed uint64, wl core.Workload) (core.Report, error) {
-	p, err := s.pool.Projector(ctx, tgt, backendName, seed, tgt.Memory)
-	if err != nil {
-		return core.Report{}, err
-	}
-	return p.Evaluate(ctx, wl)
+	w.Write(out.report)
 }

@@ -31,10 +31,11 @@ func paperSkeletons(tb testing.TB) []string {
 	return srcs
 }
 
-// projectBody POSTs one skeleton to /project and returns the response
-// body, or an error for anything but 200.
+// projectBody POSTs one skeleton to url, a /project URL with any
+// query, and returns the response body, or an error for anything but
+// 200.
 func projectBody(url, src string) ([]byte, error) {
-	resp, err := http.Post(url+"/project", "text/plain", strings.NewReader(src))
+	resp, err := http.Post(url, "text/plain", strings.NewReader(src))
 	if err != nil {
 		return nil, err
 	}
@@ -61,16 +62,17 @@ func BenchmarkProjectWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv, _, _ := startDaemon(b, daemonConfig{Logger: lg})
+	endpoint := srv.URL + "/project"
 	srcs := paperSkeletons(b)
 	for _, src := range srcs { // warm every memo
-		if _, err := projectBody(srv.URL, src); err != nil {
+		if _, err := projectBody(endpoint, src); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := projectBody(srv.URL, srcs[i%len(srcs)]); err != nil {
+		if _, err := projectBody(endpoint, srcs[i%len(srcs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

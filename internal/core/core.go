@@ -267,8 +267,8 @@ func (r Report) LimitSpeedups() (measured, predicted float64) {
 // Projector is the configured GROPHECY++ pipeline for one machine.
 // Create it with New, which runs the automatic PCIe calibration the
 // paper describes ("automatically invoked by GROPHECY++ when run on a
-// new system", §III-C), or rebuild one from a cached Calibration with
-// Restore.
+// new system", §III-C), or bind a cached Calibration to a fresh
+// machine with Restore.
 //
 // The measurement protocol follows the machine: a clean machine
 // measures with the paper's raw 10-run means; a machine with armed
@@ -279,12 +279,9 @@ type Projector struct {
 	m    *Machine
 	kind pcie.MemoryKind
 
-	// backendName is the prediction backend this projector dispatches
-	// through; inst holds its calibrated kernel and transfer
-	// predictors, and cal the calibration they came from.
-	backendName string
-	inst        backend.Instance
-	cal         Calibration
+	// cal is the calibration this projector predicts with: its decoded
+	// backend instance holds the kernel and transfer predictors.
+	cal Calibration
 
 	// meter takes every measurement from surf: on a clean machine the
 	// paper's 10-run mean over pass-through surfaces, bit for bit; on
@@ -305,18 +302,40 @@ type Options struct {
 	Memory pcie.MemoryKind
 }
 
-// Calibration is a projector's calibration in portable form: the
-// backend's fit, plus the health record of a resilient calibration.
-// Restore rebuilds from it a projector that is byte-identical to the
-// one that calibrated, without measuring anything.
+// Calibration is a projector's calibration: the backend's portable
+// fit, the health record of a resilient calibration, and the backend
+// instance the fit decodes to. Only New and Decode make one; Restore
+// binds it to a fresh machine, without measuring or decoding
+// anything, as a projector byte-identical to the one that calibrated.
+// A Calibration never changes once made, so any number of projectors
+// may share it.
 type Calibration struct {
 	Fit backend.Fit
-	// Model is the fit's global α/β summary (Projector.BusModel), for
-	// display surfaces.
-	Model xfermodel.BusModel
 	// Health is the resilient calibration's health record; nil for a
 	// clean machine.
 	Health *xfermodel.Health
+
+	inst backend.Instance
+}
+
+// Model is the fit's global α/β summary (Projector.BusModel), for
+// display surfaces.
+func (c Calibration) Model() xfermodel.BusModel { return c.inst.Linear }
+
+// Decode resolves fit's backend and decodes its payload into a
+// Calibration that Restore can bind. It is how a persisted fit comes
+// back; the result carries no health record, since only clean
+// calibrations are persisted.
+func Decode(fit backend.Fit) (Calibration, error) {
+	b, err := backend.Get(fit.Backend)
+	if err != nil {
+		return Calibration{}, err
+	}
+	inst, err := b.Restore(fit)
+	if err != nil {
+		return Calibration{}, err
+	}
+	return Calibration{Fit: fit, inst: inst}, nil
 }
 
 // calSeedSalt derives calibration's private streams from the
@@ -334,12 +353,16 @@ const calSeedSalt = 0xca1b
 // protocol under the same fault plan, and every later measurement
 // does too. The calibration opens one "xfermodel.calibrate" span.
 func New(ctx context.Context, m *Machine, opts Options) (*Projector, error) {
-	p, b, err := prepare(m, opts.Backend, opts.Memory)
+	p, err := prepare(m, opts.Memory)
+	if err != nil {
+		return nil, err
+	}
+	b, err := backend.Get(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
 	ctx = obs.WithPhase(ctx, "calibrate")
-	ctx, span := trace.Start(ctx, "xfermodel.calibrate", trace.String("backend", p.backendName))
+	ctx, span := trace.Start(ctx, "xfermodel.calibrate", trace.String("backend", b.Name()))
 	defer span.End()
 	cfg := xfermodel.DefaultCalibration()
 	cfg.Kind = opts.Memory
@@ -361,8 +384,7 @@ func New(ctx context.Context, m *Machine, opts Options) (*Projector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: PCIe calibration failed: %w", err)
 	}
-	p.inst = inst
-	p.cal = Calibration{Fit: fit, Model: inst.Linear, Health: comp.Health}
+	p.cal = Calibration{Fit: fit, Health: comp.Health, inst: inst}
 	span.SetAttr(trace.Int("transfers", int64(inst.Linear.CalibrationTransfers)))
 	span.SetAttr(trace.Float("bus_cost_s", inst.Linear.CalibrationCost))
 	if comp.Health != nil {
@@ -371,62 +393,58 @@ func New(ctx context.Context, m *Machine, opts Options) (*Projector, error) {
 	return p, nil
 }
 
-// Restore rebuilds a projector from a Calibration without performing
-// any calibration transfers. m must be a fresh machine at the
-// calibration's seed, armed with the same plan or none.
+// Restore binds cal to m without performing any calibration
+// transfers. m must be a fresh machine at the calibration's seed,
+// armed with the same plan or none; cal must come from New or Decode.
 func Restore(m *Machine, cal Calibration) (*Projector, error) {
-	p, b, err := prepare(m, cal.Fit.Backend, cal.Fit.Kind)
+	if cal.inst.Kernel == nil {
+		return nil, errdefs.Invalidf("core: calibration was not made by New or Decode")
+	}
+	p, err := prepare(m, cal.Fit.Kind)
 	if err != nil {
 		return nil, err
 	}
 	if (m.Faults != nil) != (cal.Health != nil) {
 		return nil, errdefs.Invalidf("core: calibration and machine disagree on fault injection")
 	}
-	inst, err := b.Restore(cal.Fit)
-	if err != nil {
-		return nil, err
-	}
-	p.inst, p.cal = inst, cal
+	p.cal = cal
 	return p, nil
 }
 
-// prepare is the part New and Restore share: argument checks,
-// backend resolution, and the machine's meter and surfaces.
-func prepare(m *Machine, name string, kind pcie.MemoryKind) (*Projector, backend.Backend, error) {
+// prepare is the part New and Restore share: argument checks and the
+// machine's meter and surfaces.
+func prepare(m *Machine, kind pcie.MemoryKind) (*Projector, error) {
 	if m == nil {
-		return nil, nil, errdefs.Invalidf("core: projector with nil machine")
+		return nil, errdefs.Invalidf("core: projector with nil machine")
 	}
 	if !kind.Valid() {
-		return nil, nil, errdefs.Invalidf("core: invalid memory kind %d", kind)
+		return nil, errdefs.Invalidf("core: invalid memory kind %d", kind)
 	}
-	b, err := backend.Get(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := &Projector{m: m, kind: kind, backendName: b.Name(), surf: m.Faults}
+	p := &Projector{m: m, kind: kind, surf: m.Faults}
 	cfg := measure.DefaultConfig()
 	if p.surf == nil {
 		// The empty plan is a strict pass-through: it draws nothing.
 		cfg, p.surf = measure.Config{Runs: MeasureRuns}, fault.NewSet(fault.Plan{}, m.Bus, m.GPU, m.CPU)
 	}
+	var err error
 	if p.meter, err = measure.New(cfg); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return p, b, nil
+	return p, nil
 }
 
-// Calibration returns the projector's calibration in the portable
-// form Restore consumes.
+// Calibration returns the projector's calibration, which Restore binds
+// to another fresh machine.
 func (p *Projector) Calibration() Calibration { return p.cal }
 
 // BusModel returns the calibrated global α/β transfer summary. For
 // backends that predict with a richer structure (piecewise segments),
 // this is the equivalent two-point summary they report alongside it.
-func (p *Projector) BusModel() xfermodel.BusModel { return p.inst.Linear }
+func (p *Projector) BusModel() xfermodel.BusModel { return p.cal.Model() }
 
 // Backend returns the name of the prediction backend this projector
 // dispatches through.
-func (p *Projector) Backend() string { return p.backendName }
+func (p *Projector) Backend() string { return p.cal.Fit.Backend }
 
 // Machine returns the underlying machine.
 func (p *Projector) Machine() *Machine { return p.m }
@@ -470,13 +488,13 @@ func (p *Projector) Evaluate(ctx context.Context, w Workload) (Report, error) {
 // projectKernel runs the transformation exploration and kernel-time
 // projection for one kernel through the configured backend.
 func (p *Projector) projectKernel(ctx context.Context, k *skeleton.Kernel) (transform.Variant, perfmodel.Projection, error) {
-	return p.inst.Kernel.ProjectKernel(ctx, k, p.m.GPUArch)
+	return p.cal.inst.Kernel.ProjectKernel(ctx, k, p.m.GPUArch)
 }
 
 // predictTransfer prices one planned transfer through the configured
 // backend's transfer predictor.
 func (p *Projector) predictTransfer(tr datausage.Transfer) (float64, error) {
-	return p.inst.Transfer.PredictTransfer(busDir(tr), p.kind, tr.Bytes())
+	return p.cal.inst.Transfer.PredictTransfer(busDir(tr), p.kind, tr.Bytes())
 }
 
 // busDir is the bus direction a planned transfer moves data in.

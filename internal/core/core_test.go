@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"grophecy/internal/backend"
 	"grophecy/internal/cpumodel"
 	"grophecy/internal/datausage"
+	"grophecy/internal/errdefs"
 	"grophecy/internal/skeleton"
 )
 
@@ -62,6 +65,35 @@ func TestNewCalibrates(t *testing.T) {
 	}
 	if p.Machine() == nil {
 		t.Error("nil machine")
+	}
+}
+
+// TestRestoreBindsOnlyDecodedCalibrations: Restore binds what New or
+// Decode made and rejects a Calibration assembled by hand, even one
+// carrying a valid fit; Decode rejects a fit no backend can read.
+func TestRestoreBindsOnlyDecodedCalibrations(t *testing.T) {
+	fit := newProjector(t).Calibration().Fit
+	if _, err := Restore(NewMachine(42), Calibration{Fit: fit}); !errors.Is(err, errdefs.ErrInvalidInput) {
+		t.Errorf("Restore of an undecoded calibration: %v, want ErrInvalidInput", err)
+	}
+	cal, err := Decode(fit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Restore(NewMachine(42), cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.BusModel() != cal.Model() || p.Backend() != backend.DefaultName {
+		t.Errorf("restored projector: model %+v backend %q", p.BusModel(), p.Backend())
+	}
+	for _, bad := range []backend.Fit{
+		{Backend: "no-such-backend", Kind: fit.Kind, Payload: fit.Payload},
+		{Backend: fit.Backend, Kind: fit.Kind, Payload: []byte(`[]`)},
+	} {
+		if _, err := Decode(bad); err == nil {
+			t.Errorf("Decode(%s %s) succeeded", bad.Backend, bad.Payload)
+		}
 	}
 }
 

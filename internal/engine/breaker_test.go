@@ -13,6 +13,7 @@ import (
 	"grophecy/internal/errdefs"
 	"grophecy/internal/fault"
 	"grophecy/internal/pcie"
+	"grophecy/internal/store"
 	"grophecy/internal/target"
 	"grophecy/internal/xfermodel"
 )
@@ -237,9 +238,11 @@ func TestExportWarmRoundTrip(t *testing.T) {
 
 // TestWarmSkipsInvalidAndRespectsBound: damaged entries never enter
 // the pool, duplicates are kept-first, and warming fills only up to
-// the configured bound.
+// the configured bound. Damage covers the key, the fit's backend, a
+// payload that does not decode, and a stored model that is not the
+// one the fit decodes to.
 func TestWarmSkipsInvalidAndRespectsBound(t *testing.T) {
-	valid := func(name string, s uint64) Entry {
+	valid := func(name string, s uint64) store.Entry {
 		var bm xfermodel.BusModel
 		bm.Kind = pcie.Pinned
 		bm.CalibrationCost = 0.25
@@ -250,33 +253,42 @@ func TestWarmSkipsInvalidAndRespectsBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Entry{
-			Key:   Key{Target: name, Backend: backend.DefaultName, Kind: pcie.Pinned, Seed: s},
+		return store.Entry{
+			Key:   store.Key{Target: name, Backend: backend.DefaultName, Kind: pcie.Pinned, Seed: s},
 			Model: bm,
 			Fit:   backend.Fit{Backend: backend.DefaultName, Kind: pcie.Pinned, Payload: payload},
 		}
 	}
 	bad := valid("bad", 1)
 	bad.Model.Dir[pcie.HostToDevice].Alpha = -1
+	otherModel := valid("other-model", 1)
+	otherModel.Model.Dir[pcie.HostToDevice].Alpha = 2e-5
+	undecodable := valid("undecodable", 1)
+	undecodable.Fit.Payload = json.RawMessage(`"not a bus model"`)
 	noName := valid("", 1)
 	wrongBackend := valid("mismatch", 1)
 	wrongBackend.Key.Backend = "fitted"
 
 	pool := NewPoolWith(Config{MaxEntries: 2})
-	n := pool.Warm([]Entry{bad, noName, wrongBackend, valid("a", 1), valid("a", 1), valid("b", 1), valid("c", 1)})
+	n := pool.Warm([]store.Entry{bad, otherModel, undecodable, noName, wrongBackend,
+		valid("a", 1), valid("a", 1), valid("b", 1), valid("c", 1)})
 	if n != 2 {
 		t.Errorf("Warm = %d, want 2 (invalid skipped, bound respected)", n)
 	}
-	if pool.Len() != 2 {
-		t.Errorf("Len = %d, want 2", pool.Len())
+	var got []string
+	for _, e := range pool.Export() {
+		got = append(got, e.Key.Target)
+	}
+	if want := []string{"a", "b"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("warmed keys = %q, want %q", got, want)
 	}
 }
 
 // TestOnCalibratedWriteThrough: every completed calibration reaches
 // the hook, and what it delivers matches Export.
 func TestOnCalibratedWriteThrough(t *testing.T) {
-	got := make(chan Entry, 1)
-	pool := NewPoolWith(Config{OnCalibrated: func(_ context.Context, e Entry) { got <- e }})
+	got := make(chan store.Entry, 1)
+	pool := NewPoolWith(Config{OnCalibrated: func(_ context.Context, e store.Entry) { got <- e }})
 	tgt, err := target.Lookup(target.DefaultName)
 	if err != nil {
 		t.Fatal(err)

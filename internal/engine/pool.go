@@ -11,10 +11,12 @@
 // overhead per projection. The Pool runs the calibration once per
 // key, shares the in-flight calibration among concurrent requests
 // (singleflight), and hands every caller a fresh machine with the
-// cached fit restored around it (core.Restore). Calibration never
-// advances a machine's own streams, so a cached projection is
-// bit-identical to a calibrate-then-project one, while repeat requests
-// skip the calibration transfers entirely.
+// cached calibration bound to it (core.Restore). The pool holds each
+// calibration decoded, as the backend instance it predicts with, so a
+// hit binds and decodes nothing; a fit is decoded once, when Warm
+// loads it. Calibration never advances a machine's own streams, so a
+// cached projection is bit-identical to a calibrate-then-project one,
+// while repeat requests skip the calibration transfers entirely.
 //
 // Resilience semantics (see docs/ROBUSTNESS.md):
 //
@@ -37,11 +39,12 @@
 //     cancellation is nobody's fault: it neither trips the breaker nor
 //     resets it.
 //
-// Persistence: completed calibrations are portable Entry values.
-// Export snapshots them, Warm pre-loads a fresh pool from a snapshot
-// (internal/store), and Config.OnCalibrated write-through-persists
-// each new calibration as it completes, so a crash loses at most the
-// flight in progress.
+// Persistence: the portable form of a completed calibration is
+// store.Entry, the snapshot store's own entry. Export snapshots them,
+// Warm pre-loads a fresh pool from a snapshot (decoding each entry
+// once through core.Decode), and Config.OnCalibrated
+// write-through-persists each new calibration as it completes, so a
+// crash loses at most the flight in progress.
 //
 // Fault injection: a pool configured with a non-empty fault plan
 // (Config.Faults) arms every machine it builds, so its calibrations
@@ -70,6 +73,7 @@ import (
 	"grophecy/internal/fault"
 	"grophecy/internal/metrics"
 	"grophecy/internal/pcie"
+	"grophecy/internal/store"
 	"grophecy/internal/target"
 	"grophecy/internal/trace"
 	"grophecy/internal/xfermodel"
@@ -111,26 +115,20 @@ type Key struct {
 	Plan string
 }
 
-// Entry is one completed calibration in portable form: everything a
-// fresh pool needs to serve the key bit-identically without touching
-// the bus. Export produces them, Warm consumes them, and
-// internal/store persists them.
-type Entry struct {
-	Key Key
-	// Model is the backend's global α/β summary, for display surfaces.
-	Model xfermodel.BusModel
-	// Fit is the backend's full calibration artifact; build restores
-	// the projector from it.
-	Fit backend.Fit
+// stored and poolKey convert between the pool's key and the snapshot
+// store's, which has no fault plan: armed calibrations are never
+// persisted.
+func (k Key) stored() store.Key {
+	return store.Key{Target: k.Target, Backend: k.Backend, Kind: k.Kind, Seed: k.Seed}
 }
 
-// entry renders a completed calibration as a portable Entry.
-func entry(key Key, c core.Calibration) Entry {
-	return Entry{Key: key, Model: c.Model, Fit: c.Fit}
+func poolKey(k store.Key) Key {
+	return Key{Target: k.Target, Backend: k.Backend, Kind: k.Kind, Seed: k.Seed}
 }
 
 // flight is one singleflight slot: the first goroutine for a key
-// calibrates and closes ready; everyone else waits on it.
+// calibrates and closes ready; everyone else waits on it. cal is the
+// decoded calibration every hit binds to its fresh machine.
 type flight struct {
 	ready chan struct{}
 	cal   core.Calibration
@@ -191,7 +189,7 @@ type Config struct {
 	// write-through-persist entries so a hard kill loses nothing. The
 	// context is the calibrating request's, so persistence I/O shows
 	// up on that request's wall trace.
-	OnCalibrated func(context.Context, Entry)
+	OnCalibrated func(context.Context, store.Entry)
 }
 
 // Pool is the calibration cache. The zero value is not usable; use
@@ -206,7 +204,7 @@ type Pool struct {
 	faults       fault.Plan
 	plan         string // faults' fingerprint, "" when clean
 	chaos        *fault.Chaos
-	onCalibrated func(context.Context, Entry)
+	onCalibrated func(context.Context, store.Entry)
 
 	mu       sync.Mutex
 	flights  map[Key]*flight
@@ -315,63 +313,58 @@ func (p *Pool) OpenBreakers() []Key {
 // Export returns every completed clean calibration as a portable
 // snapshot, sorted by key. In-flight, failed and fault-armed flights
 // are not exported.
-func (p *Pool) Export() []Entry {
+func (p *Pool) Export() []store.Entry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]Entry, 0, len(p.flights))
+	keys := make([]Key, 0, len(p.flights))
 	for k, f := range p.flights {
-		if !f.done || f.err != nil || k.Plan != "" {
-			continue
+		if f.done && f.err == nil && k.Plan == "" {
+			keys = append(keys, k)
 		}
-		out = append(out, entry(k, f.cal))
 	}
-	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key, out[j].Key) })
+	sortKeys(keys)
+	out := make([]store.Entry, len(keys))
+	for i, k := range keys {
+		cal := p.flights[k].cal
+		out[i] = store.Entry{Key: k.stored(), Model: cal.Model(), Fit: cal.Fit}
+	}
 	return out
 }
 
 // Warm pre-loads completed clean calibrations, e.g. from a persisted
-// snapshot, and returns how many were installed. Entries with invalid
-// or fault-armed keys or implausible models are skipped, as are keys
-// already present;
-// warming stops at the pool bound rather than evicting anything. A
-// warmed key serves hits immediately, bit-identical to a key the pool
-// calibrated itself.
-func (p *Pool) Warm(entries []Entry) int {
+// snapshot, and returns how many were installed. Each entry's fit is
+// decoded here, once. Entries with invalid keys, fits of another or
+// an unregistered backend or memory kind, fits that do not decode, or
+// a stored model other than the one the fit decodes to are skipped,
+// as are keys already present; warming stops at the pool bound rather
+// than evicting anything. A warmed key serves hits immediately,
+// bit-identical to a key the pool calibrated itself.
+func (p *Pool) Warm(entries []store.Entry) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	warmed := 0
 	for _, e := range entries {
-		if e.Key.Target == "" || e.Key.Plan != "" || !e.Key.Kind.Valid() || !e.Model.Valid() {
+		key := poolKey(e.Key)
+		if key.Target == "" || e.Fit.Backend != key.Backend || e.Fit.Kind != key.Kind {
 			continue
 		}
-		// The fit must belong to a registered backend matching the key,
-		// and must actually restore — a snapshot from a build with
-		// different backends must not poison the cache.
-		if e.Fit.Backend != e.Key.Backend {
-			continue
-		}
-		b, err := backend.Get(e.Key.Backend)
-		if err != nil {
-			continue
-		}
-		if _, err := b.Restore(e.Fit); err != nil {
-			continue
-		}
-		if _, ok := p.flights[e.Key]; ok {
+		if _, ok := p.flights[key]; ok {
 			continue
 		}
 		if len(p.flights) >= p.max {
 			break
 		}
-		f := &flight{
-			ready: make(chan struct{}),
-			cal:   core.Calibration{Fit: e.Fit, Model: e.Model},
-			done:  true,
+		// A snapshot from a build with different backends must not
+		// poison the cache.
+		cal, err := core.Decode(e.Fit)
+		if err != nil || cal.Model() != e.Model {
+			continue
 		}
+		f := &flight{ready: make(chan struct{}), cal: cal, done: true}
 		close(f.ready)
 		p.clock++
 		f.lastUse = p.clock
-		p.flights[e.Key] = f
+		p.flights[key] = f
 		warmed++
 		mWarmed.Inc()
 	}
@@ -379,17 +372,18 @@ func (p *Pool) Warm(entries []Entry) int {
 	return warmed
 }
 
-// Cached returns the completed calibration for key, if the pool holds
-// one. It never waits on an in-flight calibration — display surfaces
-// (GET /targets) use it to show α/β without triggering work.
-func (p *Pool) Cached(key Key) (Entry, bool) {
+// Cached returns the α/β summary of the completed calibration for
+// key, if the pool holds one. It never waits on an in-flight
+// calibration — display surfaces (GET /targets) use it to show α/β
+// without triggering work.
+func (p *Pool) Cached(key Key) (xfermodel.BusModel, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f, ok := p.flights[key]
 	if !ok || !f.done || f.err != nil {
-		return Entry{}, false
+		return xfermodel.BusModel{}, false
 	}
-	return entry(key, f.cal), true
+	return f.cal.Model(), true
 }
 
 // keyLess orders keys for deterministic exports and listings.
@@ -572,7 +566,7 @@ func (p *Pool) runFlight(ctx context.Context, key Key, f *flight, tgt target.Tar
 		p.mu.Unlock()
 		close(f.ready)
 		if f.err == nil && p.onCalibrated != nil && key.Plan == "" {
-			p.onCalibrated(ctx, entry(key, f.cal))
+			p.onCalibrated(ctx, store.Entry{Key: key.stored(), Model: f.cal.Model(), Fit: f.cal.Fit})
 		}
 	}()
 	for attempt := 0; ; attempt++ {
@@ -665,7 +659,7 @@ func (p *Pool) evictLocked() {
 }
 
 // calibrate runs the key's backend calibration on a throwaway machine
-// and returns it in portable form. The caller's context is checked before the expensive work
+// and returns it. The caller's context is checked before the expensive work
 // and again after it, so a cancelled request neither starts a
 // calibration it no longer wants nor caches a result it observed only
 // partially.

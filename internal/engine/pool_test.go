@@ -18,6 +18,7 @@ import (
 	"grophecy/internal/gpu"
 	"grophecy/internal/pcie"
 	"grophecy/internal/report"
+	"grophecy/internal/store"
 	"grophecy/internal/target"
 )
 
@@ -527,17 +528,19 @@ func TestPoolBackendKeysNeverShareFlights(t *testing.T) {
 	if pool.Len() != len(backends) {
 		t.Errorf("cached entries = %d, want %d", pool.Len(), len(backends))
 	}
+	fits := make(map[string]string)
+	for _, e := range pool.Export() {
+		fits[e.Key.Backend] = e.Fit.Backend
+	}
 	for _, bk := range backends {
 		if calibrated[bk] != 1 {
 			t.Errorf("backend %q calibrated %d times, want exactly 1", bk, calibrated[bk])
 		}
-		e, ok := pool.Cached(Key{Target: tgt.Name, Backend: bk, Kind: pcie.Pinned, Seed: seed})
-		if !ok {
+		if _, ok := pool.Cached(Key{Target: tgt.Name, Backend: bk, Kind: pcie.Pinned, Seed: seed}); !ok {
 			t.Errorf("backend %q missing from the cache", bk)
-			continue
 		}
-		if e.Fit.Backend != bk {
-			t.Errorf("cached entry for %q carries a fit from %q", bk, e.Fit.Backend)
+		if fits[bk] != bk {
+			t.Errorf("cached entry for %q carries a fit from %q", bk, fits[bk])
 		}
 	}
 }
@@ -626,7 +629,7 @@ func TestArmedPoolMatchesFreshArmedMachine(t *testing.T) {
 	w := workload(t)
 	plan := armedPlan(t)
 	written := 0
-	pool := NewPoolWith(Config{Faults: plan, OnCalibrated: func(context.Context, Entry) { written++ }})
+	pool := NewPoolWith(Config{Faults: plan, OnCalibrated: func(context.Context, store.Entry) { written++ }})
 	eval := func(p *core.Projector) []byte {
 		t.Helper()
 		rep, err := p.Evaluate(context.Background(), w)

@@ -88,7 +88,10 @@ func TestRestoredBackendMatchesLive(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Only what the snapshot store persists.
-			cal := core.Calibration{Fit: p.Calibration().Fit}
+			cal, err := core.Decode(p.Calibration().Fit)
+			if err != nil {
+				t.Fatal(err)
+			}
 			liveRep, err := p.Evaluate(context.Background(), w)
 			if err != nil {
 				t.Fatal(err)

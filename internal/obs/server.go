@@ -223,19 +223,6 @@ func NewHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
-// LimitBody caps the request body at n bytes via http.MaxBytesReader
-// before invoking next: reads past the cap fail and the connection is
-// closed, so an oversized upload cannot exhaust memory. Handlers
-// still see the usual io.EOF semantics for in-budget bodies.
-func LimitBody(n int64, next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Body != nil {
-			req.Body = http.MaxBytesReader(w, req.Body, n)
-		}
-		next(w, req)
-	}
-}
-
 // buildInfo assembles the /buildinfo document from the binary's
 // embedded build metadata.
 func buildInfo(extra map[string]string) map[string]any {

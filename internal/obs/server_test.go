@@ -158,40 +158,6 @@ func TestNewHTTPServerHardened(t *testing.T) {
 	}
 }
 
-// TestLimitBody: oversized bodies fail inside the handler's read, and
-// in-budget bodies pass through untouched.
-func TestLimitBody(t *testing.T) {
-	handler := LimitBody(16, func(w http.ResponseWriter, req *http.Request) {
-		body, err := io.ReadAll(req.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Write(body)
-	})
-	srv := httptest.NewServer(handler)
-	t.Cleanup(srv.Close)
-
-	resp, err := http.Post(srv.URL, "text/plain", strings.NewReader("small"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(body) != "small" {
-		t.Fatalf("in-budget body mangled: %d %q", resp.StatusCode, body)
-	}
-
-	resp, err = http.Post(srv.URL, "text/plain", strings.NewReader(strings.Repeat("x", 64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized body: %d, want 400", resp.StatusCode)
-	}
-}
-
 func TestSnapshotStateSurfaces(t *testing.T) {
 	snap := &SnapshotState{}
 	ready := &Readiness{}
