@@ -52,7 +52,7 @@ bench-json:
 # 15% or its median allocs/op more than 10% against BASE, when a
 # benchmark ran on BASE but not on the working tree, or when the median
 # TelemetryOverhead overhead-pct exceeds 5. See docs/BENCHMARKS.md.
-GATE_BENCH = ^Benchmark(EndToEndProjection|EndToEndProjectionTelemetry|TelemetryOverhead|Enumerate|Union|Intersect|TransferPinned|TransferPageable|Fig2TransferSweep|BackendDispatch|ProjectWarm|ParsePaperWorkloads|ReportJSON)$$
+GATE_BENCH = ^Benchmark(EndToEndProjection|EndToEndProjectionTelemetry|TelemetryOverhead|Enumerate|Union|Intersect|TransferPinned|TransferPageable|Fig2TransferSweep|BackendDispatch|ProjectWarm|ParsePaperWorkloads|ReportJSON|BatchDAGStream)$$
 bench-gate: BASE ?= HEAD
 bench-gate:
 	BENCH='$(GATE_BENCH)' bash scripts/bench-ab.sh $(BASE)

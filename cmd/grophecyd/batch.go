@@ -185,7 +185,7 @@ func (s *server) resolve(j batchJob) resolvedJob {
 			r.err = errdefs.Invalidf("batch job: size applies to named workloads, not inline skeletons")
 		}
 	case j.Workload != "":
-		r.wl, r.err = namedWorkload(j.Workload, j.Size)
+		r.wl, r.err = bench.Named(j.Workload, j.Size)
 	default:
 		r.err = errdefs.Invalidf("batch job: one of skeleton or workload is required")
 	}
@@ -197,26 +197,6 @@ func (s *server) resolve(j batchJob) resolvedJob {
 		}
 	}
 	return r
-}
-
-// namedWorkload builds one of the paper's benchmarks by name.
-func namedWorkload(name, size string) (core.Workload, error) {
-	switch name {
-	case "CFD":
-		return bench.CFD(size)
-	case "HotSpot":
-		return bench.HotSpot(size)
-	case "SRAD":
-		return bench.SRAD(size)
-	case "Stassuij":
-		if size != "" {
-			return core.Workload{}, errdefs.Invalidf("bench: Stassuij has a single data set; drop size %q", size)
-		}
-		return bench.Stassuij(), nil
-	default:
-		return core.Workload{}, errdefs.Invalidf(
-			"bench: unknown workload %q (want CFD, HotSpot, SRAD, or Stassuij)", name)
-	}
 }
 
 // validateSelectors checks the graph-shaped half of every job. Like

@@ -248,19 +248,19 @@ func TestNamedWorkloadResolution(t *testing.T) {
 		{"SRAD", "1024 x 1024"},
 		{"Stassuij", ""},
 	} {
-		wl, err := namedWorkload(tc.name, tc.size)
+		wl, err := bench.Named(tc.name, tc.size)
 		if err != nil {
-			t.Errorf("namedWorkload(%q, %q): %v", tc.name, tc.size, err)
+			t.Errorf("bench.Named(%q, %q): %v", tc.name, tc.size, err)
 			continue
 		}
 		if wl.Name == "" || wl.Seq == nil {
-			t.Errorf("namedWorkload(%q, %q) returned an empty workload", tc.name, tc.size)
+			t.Errorf("bench.Named(%q, %q) returned an empty workload", tc.name, tc.size)
 		}
 	}
-	if _, err := namedWorkload("Stassuij", "64 x 64"); err == nil {
+	if _, err := bench.Named("Stassuij", "64 x 64"); err == nil {
 		t.Error("Stassuij with a size must error")
 	}
-	if _, err := namedWorkload("Doom", ""); err == nil {
+	if _, err := bench.Named("Doom", ""); err == nil {
 		t.Error("unknown workload must error")
 	}
 }

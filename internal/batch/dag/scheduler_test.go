@@ -3,9 +3,12 @@ package dag
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"grophecy/internal/errdefs"
 )
@@ -231,5 +234,81 @@ func TestRunParentWritesVisibleToChild(t *testing.T) {
 	}
 	if vals[0] != want {
 		t.Errorf("sink saw %d, want %d", vals[0], want)
+	}
+}
+
+// spin keeps the CPU busy for d without blocking, like a projection.
+func spin(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// TestRunEmitsOnFinishingWorker: with one CPU and one worker running
+// CPU-only jobs, a job's row is emitted before the next job starts. A
+// scheduler that left emission to a goroutine of its own would get the
+// CPU only when the worker blocked, after every queued job had run.
+func TestRunEmitsOnFinishingWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g, err := Build([]Node{{}, {}, {}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []string // one worker: hooks never overlap
+	g.Run(context.Background(), 1, Hooks{
+		Run: func(i int) error {
+			events = append(events, fmt.Sprintf("run %d", i))
+			spin(200 * time.Microsecond)
+			return nil
+		},
+		Emit: func(i int) { events = append(events, fmt.Sprintf("emit %d", i)) },
+	})
+	for i := 0; i < g.Len(); i++ {
+		if events[2*i] != fmt.Sprintf("run %d", i) || events[2*i+1] != fmt.Sprintf("emit %d", i) {
+			t.Fatalf("events = %v, want each job's emit before the next job runs", events)
+		}
+	}
+}
+
+// TestRunSlowEmitDoesNotStallDispatch: while one worker is held in
+// Emit, the other keeps finishing jobs and dispatching their
+// children. Here Emit(a) waits until the chain b -> c -> d has run to
+// its end, which only the second worker can do.
+func TestRunSlowEmitDoesNotStallDispatch(t *testing.T) {
+	g, err := Build([]Node{node("a"), node("b"), node("c", "b"), node("d", "c")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitting := make(chan struct{}) // Emit(a) has started
+	chainDone := make(chan struct{})
+	var emitted []int
+	g.Run(context.Background(), 2, Hooks{
+		Run: func(i int) error {
+			switch i {
+			case 1: // b starts only once a's row is being written
+				select {
+				case <-emitting:
+				case <-time.After(10 * time.Second):
+					t.Error("Emit(a) never started")
+				}
+			case 3:
+				close(chainDone)
+			}
+			return nil
+		},
+		Emit: func(i int) {
+			emitted = append(emitted, i)
+			if i != 0 {
+				return
+			}
+			close(emitting)
+			select {
+			case <-chainDone:
+			case <-time.After(10 * time.Second):
+				t.Error("a blocked Emit stalled the other worker: the chain b -> c -> d never finished")
+			}
+		},
+	})
+	if want := g.Order(); fmt.Sprint(emitted) != fmt.Sprint(want) {
+		t.Errorf("emitted %v, want %v", emitted, want)
 	}
 }

@@ -20,6 +20,8 @@
 package bench
 
 import (
+	"sync"
+
 	"grophecy/internal/core"
 	"grophecy/internal/cpumodel"
 	"grophecy/internal/datausage"
@@ -391,6 +393,52 @@ func Stassuij() core.Workload {
 			Vectorizable:           false,
 			Regions:                1,
 		},
+	}
+}
+
+// shared holds every application/data-size pair of the paper's
+// evaluation, keyed by name and label (Stassuij's label is empty).
+// Each is built on its first lookup and then shared: building one is
+// a fixed cost a batch job would otherwise pay on every request.
+// Members never fail to build.
+var shared = func() map[[2]string]func() (core.Workload, error) {
+	m := make(map[[2]string]func() (core.Workload, error), 10)
+	add := func(name string, sizes []string, build func(string) (core.Workload, error)) {
+		for _, s := range sizes {
+			m[[2]string{name, s}] = sync.OnceValues(func() (core.Workload, error) { return build(s) })
+		}
+	}
+	add("CFD", CFDSizes(), CFD)
+	add("HotSpot", HotSpotSizes(), HotSpot)
+	add("SRAD", SRADSizes(), SRAD)
+	add("Stassuij", []string{""}, func(string) (core.Workload, error) { return Stassuij(), nil })
+	return m
+}()
+
+// Named returns one of the paper's workloads by application name and
+// data-set label, as a batch job names it. The workload is built once
+// per process and shared by every caller, so it is read-only: derive
+// a variant with WithIterations, which copies the sequence. An
+// unknown name or label is an invalid-input error, and nothing is
+// cached for it.
+func Named(name, size string) (core.Workload, error) {
+	if build, ok := shared[[2]string{name, size}]; ok {
+		return build()
+	}
+	// The pair is outside the table, so each constructor below fails
+	// on its label check before building anything.
+	switch name {
+	case "CFD":
+		return CFD(size)
+	case "HotSpot":
+		return HotSpot(size)
+	case "SRAD":
+		return SRAD(size)
+	case "Stassuij":
+		return core.Workload{}, errdefs.Invalidf("bench: Stassuij has a single data set; drop size %q", size)
+	default:
+		return core.Workload{}, errdefs.Invalidf(
+			"bench: unknown workload %q (want CFD, HotSpot, SRAD, or Stassuij)", name)
 	}
 }
 

@@ -59,9 +59,17 @@ type Entry struct {
 type Recorder struct {
 	mu      sync.Mutex
 	cap     int
-	entries []Entry          // oldest first
-	byID    map[string]Entry // same entries, keyed by run ID
+	ring    []Entry            // retained runs; oldest at head once full
+	head    int                // slot the next eviction takes, once full
+	byID    map[string]indexed // newest retained entry per run ID
 	evicted int64
+}
+
+// indexed is one run ID's index entry: the newest retained entry with
+// that ID, and how many ring slots carry the ID.
+type indexed struct {
+	Entry
+	live int
 }
 
 // New returns a recorder keeping the last capacity completed runs.
@@ -69,7 +77,7 @@ func New(capacity int) (*Recorder, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("flight: capacity %d below 1", capacity)
 	}
-	return &Recorder{cap: capacity, byID: make(map[string]Entry)}, nil
+	return &Recorder{cap: capacity, byID: make(map[string]indexed)}, nil
 }
 
 // MustNew is New, panicking on error.
@@ -82,56 +90,51 @@ func MustNew(capacity int) *Recorder {
 }
 
 // Add records one completed run, evicting the oldest entry when the
-// ring is full. An entry with a duplicate ID replaces the stored one
-// in the index but still occupies a ring slot; the daemon's
-// process-unique run IDs never collide, but the recorder stays
-// correct for callers whose IDs do.
+// ring is full, in constant time. An entry with a duplicate ID
+// replaces the stored one in the index but still occupies a ring
+// slot; the index keeps the ID until its last slot is evicted. The
+// daemon's process-unique run IDs never collide, but the recorder
+// stays correct for callers whose IDs do.
 //
 // Each retained slot holds its run's trace tree (trace.Tracer.Hold),
 // and eviction drops that hold, so a tree returns to the span pool
 // once no retained slot references it and its request has released
-// its own hold. Readers are safe because trace export holds r.mu for
-// the whole serialization.
+// its own hold. The hold is dropped after r.mu is unlocked, so the
+// release of a whole tree does not stall readers. That is safe:
+// exporters reach a tree only through a retained slot while holding
+// r.mu, and a tree is freed only once no retained slot holds it.
 func (r *Recorder) Add(e Entry) {
 	tr := e.Run.Tracer()
 	tr.Hold()
 	e.TraceID = tr.TraceID()
+	var dropped *trace.Tracer
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.entries) == r.cap {
-		old := r.entries[0]
-		r.entries = append(r.entries[:0], r.entries[1:]...)
-		r.evicted++
-		// Drop the index entry only when no younger ring slot carries
-		// the same ID: the index points at the newest duplicate, and
-		// deleting it here would make that still-retained run
-		// unreachable via Get.
-		if !r.idLiveLocked(old.ID) {
+	if len(r.ring) < r.cap {
+		r.ring = append(r.ring, e)
+	} else {
+		old := &r.ring[r.head]
+		dropped = old.Run.Tracer()
+		if x := r.byID[old.ID]; x.live > 1 {
+			x.live--
+			r.byID[old.ID] = x
+		} else {
 			delete(r.byID, old.ID)
 		}
-		old.Run.Tracer().Release()
+		*old = e
+		r.head = (r.head + 1) % r.cap
+		r.evicted++
 	}
-	r.entries = append(r.entries, e)
-	r.byID[e.ID] = e
-}
-
-// idLiveLocked reports whether any retained ring slot carries id.
-// Callers must hold r.mu.
-func (r *Recorder) idLiveLocked(id string) bool {
-	for i := range r.entries {
-		if r.entries[i].ID == id {
-			return true
-		}
-	}
-	return false
+	r.byID[e.ID] = indexed{Entry: e, live: r.byID[e.ID].live + 1}
+	r.mu.Unlock()
+	dropped.Release()
 }
 
 // Get returns the entry with the given run ID.
 func (r *Recorder) Get(id string) (Entry, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.byID[id]
-	return e, ok
+	x, ok := r.byID[id]
+	return x.Entry, ok
 }
 
 // Errors the trace exporters distinguish for the HTTP layer.
@@ -172,28 +175,30 @@ func (r *Recorder) WallTraceJSON(id string) ([]byte, error) {
 // tracedLocked returns the entry for id, or the error the exporters
 // report. Callers must hold r.mu.
 func (r *Recorder) tracedLocked(id string) (Entry, error) {
-	e, ok := r.byID[id]
+	x, ok := r.byID[id]
 	if !ok {
-		return e, ErrNoRun
+		return x.Entry, ErrNoRun
 	}
-	if e.Run == nil {
-		return e, ErrNoTrace
+	if x.Run == nil {
+		return x.Entry, ErrNoTrace
 	}
-	return e, nil
+	return x.Entry, nil
 }
 
 // Entries returns a copy of the retained runs, oldest first.
 func (r *Recorder) Entries() []Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Entry(nil), r.entries...)
+	out := make([]Entry, 0, len(r.ring))
+	out = append(out, r.ring[r.head:]...)
+	return append(out, r.ring[:r.head]...)
 }
 
 // Len returns the number of retained runs.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.entries)
+	return len(r.ring)
 }
 
 // Evicted returns how many runs have been evicted since startup.

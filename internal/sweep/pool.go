@@ -2,16 +2,17 @@
 // batch DAG scheduler) does not know its work-list up front — a job
 // becomes runnable only when its parents finish. Pool serves that
 // shape: a fixed set of workers consuming tasks submitted one at a
-// time, with every completion delivered on a results channel so the
-// submitter can react (dispatch newly ready work) before the pool
-// drains. Run is the fixed-list special case: submit n, collect by
+// time, with every completion handed to a callback on the worker that
+// finished it, so the submitter reacts (dispatches newly ready work)
+// there and then, without waiting for a goroutine of its own to be
+// scheduled. Run is the fixed-list special case: submit n, collect by
 // index.
 //
 // Failure semantics match Run: a panicking task is recovered into an
 // error wrapping errdefs.ErrPanic, and tasks consumed after the pool
 // context is cancelled are not executed — they complete immediately
 // with the context's error. Every submitted task produces exactly one
-// result, so a consumer counting submissions never hangs.
+// completion, so a consumer counting submissions never hangs.
 package sweep
 
 import (
@@ -41,33 +42,33 @@ type poolTask[T any] struct {
 }
 
 // Pool is a dynamically fed worker pool. Create with NewPool, feed
-// with Submit, consume Results, and Close once everything is
-// submitted. The zero value is unusable.
+// with Submit, and Close once everything is submitted. The zero value
+// is unusable.
 type Pool[T any] struct {
-	ctx     context.Context
-	tasks   chan poolTask[T]
-	results chan PoolResult[T]
-	wg      sync.WaitGroup
+	tasks chan poolTask[T]
+	wg    sync.WaitGroup
 }
 
 // NewPool starts workers goroutines (GOMAXPROCS if workers <= 0)
 // consuming submitted tasks. capacity bounds how many submissions can
-// be in flight (queued + unconsumed results) without blocking; size
-// it to the total number of tasks when that is known — the batch
-// scheduler uses the job count — so Submit and result delivery never
-// block each other.
-func NewPool[T any](ctx context.Context, workers, capacity int) *Pool[T] {
+// be queued without blocking; size it to the total number of tasks
+// when that is known — the batch scheduler uses the job count — so
+// Submit never blocks, not even when done calls it.
+//
+// done receives one PoolResult per submitted task, on the worker that
+// ran the task (or, for a task cancelled before its turn, the worker
+// that consumed it), before that worker takes its next task. It runs
+// for panicked and cancelled tasks too, so it sees every submission.
+// Calls on different workers run concurrently; done must not panic
+// and must not call Close.
+func NewPool[T any](ctx context.Context, workers, capacity int, done func(PoolResult[T])) *Pool[T] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if capacity < 1 {
 		capacity = 1
 	}
-	p := &Pool[T]{
-		ctx:     ctx,
-		tasks:   make(chan poolTask[T], capacity),
-		results: make(chan PoolResult[T], capacity),
-	}
+	p := &Pool[T]{tasks: make(chan poolTask[T], capacity)}
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
@@ -93,38 +94,29 @@ func NewPool[T any](ctx context.Context, workers, capacity int) *Pool[T] {
 						mFailures.Inc()
 						lg.Warn("sweep input failed", "input", t.index, "err", r.Err.Error())
 					}
-					p.results <- r
+					done(r)
 				}
 			})
 		}(w)
 	}
-	go func() {
-		p.wg.Wait()
-		close(p.results)
-	}()
 	return p
 }
 
 // Submit enqueues one task. index is echoed on the task's PoolResult;
 // it carries no meaning to the pool itself, so duplicate indices are
 // the submitter's business. Submit blocks only when more than
-// capacity submissions are outstanding, and must not be called after
+// capacity submissions are queued, and must not be called after
 // Close.
 func (p *Pool[T]) Submit(index int, fn func() (T, error)) {
 	p.tasks <- poolTask[T]{index: index, fn: fn}
 }
 
-// Results delivers one PoolResult per submitted task, in completion
-// order. The channel closes after Close once every accepted task has
-// completed.
-func (p *Pool[T]) Results() <-chan PoolResult[T] {
-	return p.results
-}
-
-// Close announces that no more tasks will be submitted. In-flight and
-// queued tasks still complete (queued tasks complete with an error if
-// the pool context is cancelled); Results closes once they have all
-// been delivered.
+// Close announces that no more tasks will be submitted and waits for
+// the workers to drain the queue: in-flight and queued tasks still
+// complete (queued tasks complete with an error if the pool context
+// is cancelled), and Close returns once every completion callback has
+// returned and every worker has exited.
 func (p *Pool[T]) Close() {
 	close(p.tasks)
+	p.wg.Wait()
 }

@@ -59,10 +59,14 @@ func Run[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pool := NewPool[T](ctx, min(workers, n), n)
-	// ran[i] is written by the worker before it delivers input i's
-	// result, and read only after receiving that result.
+	// Each index is written by the one worker that completes it and
+	// read only after Close has waited for every worker.
+	results := make([]T, n)
+	errs := make([]error, n)
 	ran := make([]bool, n)
+	pool := NewPool(ctx, min(workers, n), n, func(r PoolResult[T]) {
+		results[r.Index], errs[r.Index] = r.Value, r.Err
+	})
 	for i := 0; i < n; i++ {
 		pool.Submit(i, func() (T, error) {
 			ran[i] = true
@@ -70,11 +74,6 @@ func Run[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 		})
 	}
 	pool.Close()
-	results := make([]T, n)
-	errs := make([]error, n)
-	for r := range pool.Results() {
-		results[r.Index], errs[r.Index] = r.Value, r.Err
-	}
 	joined := make([]error, 0, n+1)
 	for i := range ran {
 		if !ran[i] {
