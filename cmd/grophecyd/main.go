@@ -104,7 +104,6 @@ func main() {
 		CacheEntries:   *cacheN,
 
 		SnapshotDir:      *snapDir,
-		SnapshotInterval: *snapInt,
 		ChaosSpec:        *chaos,
 		CalTimeout:       *calTO,
 		CalRetries:       *calTries,

@@ -98,10 +98,6 @@ type daemonConfig struct {
 	// full periodically and on graceful shutdown.
 	SnapshotDir string
 
-	// SnapshotInterval is the periodic full-save cadence; zero means
-	// one minute.
-	SnapshotInterval time.Duration
-
 	// ChaosSpec arms the daemon-level chaos harness (see
 	// fault.ParseChaos); empty or "none" disables. Chaos perturbs the
 	// service path — calibration latency/errors/panics, snapshot I/O —

@@ -217,15 +217,13 @@ func TestTransferKindMismatch(t *testing.T) {
 // two buses' next transfers must agree.
 func TestFittedLeavesBusDrawsIdentical(t *testing.T) {
 	cfg := xfermodel.DefaultCalibration()
-	cfg.Sizes = []int64{cfg.SmallSize, cfg.LargeSize}
 
 	a := busAt(11)
 	if _, _, err := mustGet(t, "fitted").Calibrate(context.Background(), componentsOn(a, 11), cfg); err != nil {
 		t.Fatal(err)
 	}
 	b := busAt(11)
-	grid := cfg.Sizes
-	if _, err := xfermodel.CalibrateLeastSquares(xfermodel.MeanSampler(b, cfg.Runs), cfg, grid); err != nil {
+	if _, err := xfermodel.CalibrateLeastSquares(xfermodel.MeanSampler(b, cfg.Runs), cfg, fittedGrid(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	ta, errA := a.Transfer(pcie.HostToDevice, pcie.Pinned, units.MB)

@@ -119,17 +119,14 @@ func kernelFeatureRow(ch perfmodel.Characteristics) []float64 {
 	return []float64{1, share, ch.IrregularFraction}
 }
 
-// fittedGrid returns the transfer sample grid: cfg.Sizes when set,
-// otherwise powers of two from 4 KB up to (and including) LargeSize.
+// fittedGrid returns the transfer sample grid: powers of two from
+// 4 KB up to (and including) LargeSize.
 func fittedGrid(cfg xfermodel.CalibrationConfig) []int64 {
-	if g := cfg.Grid(nil); g != nil {
-		return g
-	}
-	var def []int64
+	var grid []int64
 	for s := int64(4 * units.KB); s < cfg.LargeSize; s <<= 1 {
-		def = append(def, s)
+		grid = append(grid, s)
 	}
-	return append(def, cfg.LargeSize)
+	return append(grid, cfg.LargeSize)
 }
 
 func (fittedBackend) Calibrate(ctx context.Context, comp Components, cfg xfermodel.CalibrationConfig) (Instance, Fit, error) {
@@ -143,9 +140,7 @@ func (fittedBackend) Calibrate(ctx context.Context, comp Components, cfg xfermod
 
 	// The microbenchmarks run on a scratch simulator with a private
 	// noise stream; the serving machine's GPU stream is untouched.
-	simCfg := gpusim.DefaultConfig()
-	simCfg.Seed = comp.Seed ^ scratchSeedSalt
-	sim := gpusim.New(comp.Arch, simCfg)
+	sim := gpusim.New(comp.Arch, comp.Seed^scratchSeedSalt)
 
 	suite := microbenchSuite()
 	rows := make([][]float64, 0, len(suite))

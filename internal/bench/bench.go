@@ -24,7 +24,6 @@ import (
 
 	"grophecy/internal/core"
 	"grophecy/internal/cpumodel"
-	"grophecy/internal/datausage"
 	"grophecy/internal/errdefs"
 	"grophecy/internal/skeleton"
 )
@@ -479,8 +478,3 @@ func MustAll() []core.Workload {
 	}
 	return ws
 }
-
-// Hints returns the data-usage hints each workload ships with (none
-// beyond the Temporary flags embedded in the arrays; exported for
-// symmetry and future sparse-section hints).
-func Hints(w core.Workload) datausage.Hints { return w.Hints }

@@ -179,11 +179,3 @@ func TestCPUWorkloadsPositive(t *testing.T) {
 		}
 	}
 }
-
-func TestHintsAccessor(t *testing.T) {
-	w := Stassuij()
-	h := Hints(w)
-	if h.Temporaries != nil || h.SparseSections != nil {
-		t.Error("unexpected default hints")
-	}
-}

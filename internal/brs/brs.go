@@ -401,12 +401,6 @@ func (st *Set) Covers(s Section) bool {
 	return ok && cur.Contains(s)
 }
 
-// Section returns the merged section for array a, if any.
-func (st *Set) Section(a *skeleton.Array) (Section, bool) {
-	s, ok := st.byArray[a]
-	return s, ok
-}
-
 // Sections returns the merged sections in first-insertion order.
 func (st *Set) Sections() []Section {
 	out := make([]Section, 0, len(st.order))

@@ -359,7 +359,7 @@ func TestSetMergesPerArray(t *testing.T) {
 	if set.Len() != 2 {
 		t.Fatalf("Len = %d", set.Len())
 	}
-	sa, ok := set.Section(a)
+	sa, ok := set.byArray[a]
 	if !ok || sa.Bounds[0] != (Bound{0, 19, 1}) {
 		t.Errorf("merged section = %+v", sa)
 	}
@@ -454,7 +454,7 @@ func TestSetRemove(t *testing.T) {
 	if set.Len() != 1 {
 		t.Fatalf("Len = %d after remove", set.Len())
 	}
-	if _, ok := set.Section(a); ok {
+	if _, ok := set.byArray[a]; ok {
 		t.Error("removed section still present")
 	}
 	if secs := set.Sections(); len(secs) != 1 || secs[0].Array != b {

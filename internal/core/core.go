@@ -102,15 +102,11 @@ func NewMachine(seed uint64) *Machine {
 // config's own seed is replaced by one derived from seed.
 func NewMachineWith(g gpu.Arch, c cpumodel.Arch, bus pcie.Config, seed uint64) *Machine {
 	bus.Seed = seed ^ 0xb05
-	gpuCfg := gpusim.DefaultConfig()
-	gpuCfg.Seed = seed ^ 0x69b5
-	cpuCfg := cpumodel.DefaultConfig()
-	cpuCfg.Seed = seed ^ 0xc6b5
 	return &Machine{
 		GPUArch: g,
 		CPUArch: c,
-		GPU:     gpusim.New(g, gpuCfg),
-		CPU:     cpumodel.New(c, cpuCfg),
+		GPU:     gpusim.New(g, seed^0x69b5),
+		CPU:     cpumodel.New(c, seed^0xc6b5),
 		Bus:     pcie.NewBus(bus),
 		Seed:    seed,
 	}

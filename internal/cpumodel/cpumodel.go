@@ -174,35 +174,23 @@ func (w Workload) Validate() error {
 	return nil
 }
 
-// Config controls measurement noise.
-type Config struct {
-	Seed uint64
-	// NoiseSigma is the lognormal run-to-run jitter; CPU timings on a
-	// shared node wobble a bit more than GPU kernels.
-	NoiseSigma float64
-}
-
-// DefaultConfig returns the noise settings used by the experiments.
-func DefaultConfig() Config {
-	return Config{Seed: 0xcb0, NoiseSigma: 0.015}
-}
+// NoiseSigma is the lognormal run-to-run jitter; CPU timings on a
+// shared node wobble a bit more than GPU kernels.
+const NoiseSigma = 0.015
 
 // Sim produces measured CPU times. Not safe for concurrent use.
 type Sim struct {
 	arch  Arch
-	cfg   Config
 	noise *rng.Stream
 }
 
-// New builds a simulator; it panics on an invalid architecture.
-func New(arch Arch, cfg Config) *Sim {
+// New builds a simulator whose noise stream is seeded by seed; it
+// panics on an invalid architecture.
+func New(arch Arch, seed uint64) *Sim {
 	if err := arch.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.NoiseSigma < 0 {
-		panic("cpumodel: negative noise sigma")
-	}
-	return &Sim{arch: arch, cfg: cfg, noise: rng.New(cfg.Seed)}
+	return &Sim{arch: arch, noise: rng.New(seed)}
 }
 
 // Arch returns the simulated CPU.
@@ -242,5 +230,5 @@ func (s *Sim) Run(w Workload) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return base * s.noise.LogNormalFactor(s.cfg.NoiseSigma), nil
+	return base * s.noise.LogNormalFactor(NoiseSigma), nil
 }

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func newSim() *Sim { return New(XeonE5405(), DefaultConfig()) }
+func newSim() *Sim { return New(XeonE5405(), 0xcb0) }
 
 func stencil(n int64) Workload {
 	return Workload{
@@ -60,8 +60,8 @@ func TestPresets(t *testing.T) {
 // newer node is strictly faster on both compute- and memory-bound
 // work, so cross-target projections vary on the CPU axis.
 func TestX5650BeatsE5405(t *testing.T) {
-	old := New(XeonE5405(), Config{})
-	newer := New(XeonX5650(), Config{})
+	old := New(XeonE5405(), 0)
+	newer := New(XeonX5650(), 0)
 	for _, w := range []Workload{
 		{Name: "compute", Elements: 1 << 20, FlopsPerElem: 500, Regions: 1},
 		{Name: "stream", Elements: 1 << 22, FlopsPerElem: 1, BytesPerElem: 12, Vectorizable: true, Regions: 1},
@@ -131,8 +131,7 @@ func TestNewPanics(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanic("invalid arch", func() { New(Arch{}, DefaultConfig()) })
-	assertPanic("negative noise", func() { New(XeonE5405(), Config{NoiseSigma: -1}) })
+	assertPanic("invalid arch", func() { New(Arch{}, 0xcb0) })
 }
 
 func TestComputeBoundWorkload(t *testing.T) {

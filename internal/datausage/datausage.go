@@ -164,26 +164,9 @@ func (h Hints) sectionFor(s brs.Section) brs.Section {
 	return s
 }
 
-// Options selects analysis refinements beyond the paper's rules. The
-// zero value is the paper-faithful behaviour.
-type Options struct {
-	// PreciseUploads uploads only the exact uncovered remainder of
-	// each read section (box subtraction, internal/brs) instead of
-	// the paper's conservative whole-section rule. More, smaller
-	// transfers can result; for the paper's benchmarks — where
-	// coverage is all-or-nothing — the plans are identical, which is
-	// itself evidence for the paper's simpler rule.
-	PreciseUploads bool
-}
-
 // Analyze runs data usage analysis over the kernel sequence with the
 // paper's rules. The sequence must validate.
 func Analyze(seq *skeleton.Sequence, hints Hints) (Plan, error) {
-	return AnalyzeOpt(seq, hints, Options{})
-}
-
-// AnalyzeOpt is Analyze with refinement options.
-func AnalyzeOpt(seq *skeleton.Sequence, hints Hints, opts Options) (Plan, error) {
 	if err := seq.Validate(); err != nil {
 		return Plan{}, err
 	}
@@ -202,10 +185,6 @@ func AnalyzeOpt(seq *skeleton.Sequence, hints Hints, opts Options) (Plan, error)
 	writes := brs.NewSet()   // union of all writes
 	resident := brs.NewSet() // everything touching GPU memory
 
-	// Precise mode tracks exact uploaded boxes per array.
-	preciseUploads := make(map[*skeleton.Array][]brs.Section)
-	var preciseOrder []*skeleton.Array
-
 	for _, k := range seq.Kernels {
 		nest := skeleton.NewLoopIndex(k.Loops)
 		for _, st := range k.Stmts {
@@ -219,25 +198,6 @@ func AnalyzeOpt(seq *skeleton.Sequence, hints Hints, opts Options) (Plan, error)
 				sec := hints.sectionFor(brs.FromAccess(ac, nest))
 				resident.Add(sec)
 				if sec.Empty() || written.Covers(sec) {
-					continue
-				}
-				if opts.PreciseUploads {
-					// Exact remainder: subtract prior writes and
-					// prior uploads of this array.
-					remainder := []brs.Section{sec}
-					if wsec, ok := written.Section(sec.Array); ok {
-						remainder = brs.SubtractAll(sec, []brs.Section{wsec})
-					}
-					var fresh []brs.Section
-					for _, r := range remainder {
-						fresh = append(fresh, brs.SubtractAll(r, preciseUploads[sec.Array])...)
-					}
-					if len(fresh) > 0 {
-						if _, seen := preciseUploads[sec.Array]; !seen {
-							preciseOrder = append(preciseOrder, sec.Array)
-						}
-						preciseUploads[sec.Array] = append(preciseUploads[sec.Array], fresh...)
-					}
 					continue
 				}
 				// Conservative: transfer the full read section even
@@ -258,13 +218,6 @@ func AnalyzeOpt(seq *skeleton.Sequence, hints Hints, opts Options) (Plan, error)
 	}
 
 	var plan Plan
-	if opts.PreciseUploads {
-		for _, arr := range preciseOrder {
-			for _, sec := range preciseUploads[arr] {
-				plan.Uploads = append(plan.Uploads, Transfer{Dir: Upload, Section: sec})
-			}
-		}
-	}
 	for _, sec := range uploads.Sections() {
 		plan.Uploads = append(plan.Uploads, Transfer{Dir: Upload, Section: sec})
 	}

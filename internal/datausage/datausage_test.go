@@ -373,144 +373,3 @@ func TestDeterministicOrder(t *testing.T) {
 		t.Errorf("uploads not name-sorted: %v", plan.Uploads)
 	}
 }
-
-func TestPreciseUploadsPartialCoverage(t *testing.T) {
-	// Kernel 1 writes the top half of the image; kernel 2 reads all
-	// of it. The paper's rule uploads the whole image; precise mode
-	// uploads only the unwritten bottom half.
-	n := int64(1024)
-	img := skeleton.NewArray("img", skeleton.Float32, n, n)
-	out := skeleton.NewArray("out", skeleton.Float32, n, n)
-	k1 := &skeleton.Kernel{
-		Name:  "tophalf",
-		Loops: []skeleton.Loop{skeleton.ParLoop("i", n/2), skeleton.ParLoop("j", n)},
-		Stmts: []skeleton.Statement{{
-			Accesses: []skeleton.Access{skeleton.StoreOf(img, skeleton.Idx("i"), skeleton.Idx("j"))},
-			Flops:    1,
-		}},
-	}
-	k2 := &skeleton.Kernel{
-		Name:  "readall",
-		Loops: []skeleton.Loop{skeleton.ParLoop("i", n), skeleton.ParLoop("j", n)},
-		Stmts: []skeleton.Statement{{
-			Accesses: []skeleton.Access{
-				skeleton.LoadOf(img, skeleton.Idx("i"), skeleton.Idx("j")),
-				skeleton.StoreOf(out, skeleton.Idx("i"), skeleton.Idx("j")),
-			},
-			Flops: 1,
-		}},
-	}
-	seq := &skeleton.Sequence{Name: "halfcover", Kernels: []*skeleton.Kernel{k1, k2}, Iterations: 1}
-
-	conservative, err := Analyze(seq, Hints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	precise, err := AnalyzeOpt(seq, Hints{}, Options{PreciseUploads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conservative.UploadBytes() != n*n*4 {
-		t.Errorf("conservative upload = %d, want whole image", conservative.UploadBytes())
-	}
-	if precise.UploadBytes() != n*n*4/2 {
-		t.Errorf("precise upload = %d, want bottom half (%d)", precise.UploadBytes(), n*n*4/2)
-	}
-	// The precise upload is the bottom half specifically.
-	if len(precise.Uploads) != 1 {
-		t.Fatalf("precise uploads = %v", precise.Uploads)
-	}
-	sec := precise.Uploads[0].Section
-	if sec.Bounds[0].Lo != n/2 || sec.Bounds[0].Hi != n-1 {
-		t.Errorf("precise section = %v", sec)
-	}
-	// Downloads identical in both modes.
-	if conservative.DownloadBytes() != precise.DownloadBytes() {
-		t.Error("download plans diverge")
-	}
-}
-
-func TestPreciseUploadsNoDoubleUpload(t *testing.T) {
-	// Two kernels read overlapping halves: precise mode must not
-	// upload the overlap twice.
-	n := int64(1000)
-	v := skeleton.NewArray("v", skeleton.Float32, n)
-	o := skeleton.NewArray("o", skeleton.Float32, n)
-	mk := func(name string, lo, hi int64) *skeleton.Kernel {
-		return &skeleton.Kernel{
-			Name:  name,
-			Loops: []skeleton.Loop{{Var: "i", Lower: lo, Upper: hi, Step: 1, Parallel: true}},
-			Stmts: []skeleton.Statement{{
-				Accesses: []skeleton.Access{
-					skeleton.LoadOf(v, skeleton.Idx("i")),
-					skeleton.StoreOf(o, skeleton.Idx("i")),
-				},
-				Flops: 1,
-			}},
-		}
-	}
-	seq := &skeleton.Sequence{
-		Name:       "overlap",
-		Kernels:    []*skeleton.Kernel{mk("lo", 0, 700), mk("hi", 300, 1000)},
-		Iterations: 1,
-	}
-	precise, err := AnalyzeOpt(seq, Hints{}, Options{PreciseUploads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vBytes int64
-	for _, up := range precise.Uploads {
-		if up.Array() == v {
-			vBytes += up.Bytes()
-		}
-	}
-	if vBytes != n*4 {
-		t.Errorf("v uploaded %d bytes, want exactly %d (no double upload)", vBytes, n*4)
-	}
-}
-
-func TestPreciseMatchesConservativeOnPaperBenchmarks(t *testing.T) {
-	// For the paper's workloads coverage is all-or-nothing, so the
-	// refinement changes nothing — evidence that the paper's simpler
-	// rule is adequate for its suite. (Can't import bench here —
-	// cycle — so mirror the SRAD producer/consumer shape.)
-	n := int64(256)
-	img := skeleton.NewArray("img", skeleton.Float32, n, n)
-	coeff := skeleton.NewArray("coeff", skeleton.Float32, n, n)
-	coeff.Temporary = true
-	k1 := &skeleton.Kernel{
-		Name:  "prep",
-		Loops: []skeleton.Loop{skeleton.ParLoop("i", n), skeleton.ParLoop("j", n)},
-		Stmts: []skeleton.Statement{{
-			Accesses: []skeleton.Access{
-				skeleton.LoadOf(img, skeleton.Idx("i"), skeleton.Idx("j")),
-				skeleton.StoreOf(coeff, skeleton.Idx("i"), skeleton.Idx("j")),
-			},
-			Flops: 4,
-		}},
-	}
-	k2 := &skeleton.Kernel{
-		Name:  "update",
-		Loops: []skeleton.Loop{skeleton.ParLoop("i", n), skeleton.ParLoop("j", n)},
-		Stmts: []skeleton.Statement{{
-			Accesses: []skeleton.Access{
-				skeleton.LoadOf(coeff, skeleton.Idx("i"), skeleton.Idx("j")),
-				skeleton.StoreOf(img, skeleton.Idx("i"), skeleton.Idx("j")),
-			},
-			Flops: 4,
-		}},
-	}
-	seq := &skeleton.Sequence{Name: "sradlike", Kernels: []*skeleton.Kernel{k1, k2}, Iterations: 1}
-	a, err := Analyze(seq, Hints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := AnalyzeOpt(seq, Hints{}, Options{PreciseUploads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.UploadBytes() != b.UploadBytes() || a.DownloadBytes() != b.DownloadBytes() {
-		t.Errorf("plans diverge on all-or-nothing coverage: %d/%d vs %d/%d",
-			a.UploadBytes(), a.DownloadBytes(), b.UploadBytes(), b.DownloadBytes())
-	}
-}

@@ -21,8 +21,8 @@ import (
 type BusGenRow struct {
 	App      string
 	DataSize string
-	// Speedup and PercentTransfer are indexed like pcie.Generations()
-	// (v1, v2, v3).
+	// Speedup and PercentTransfer are indexed like the paper's three
+	// PCIe generations, pcie.Profiles()[:3] (v1, v2, v3).
 	Speedup         [3]float64
 	PercentTransfer [3]float64
 }
@@ -38,7 +38,7 @@ func BusGenerations(ctx context.Context, seed uint64) ([]BusGenRow, error) {
 	for i, w := range ws {
 		rows[i] = BusGenRow{App: w.Name, DataSize: w.DataSize}
 	}
-	for g, gen := range pcie.Generations() {
+	for g, gen := range pcie.Profiles()[:3] {
 		// The paper's GPU/CPU on each bus generation — exactly the
 		// registered fx5600-pcie<N> targets.
 		tgt, err := target.Lookup(fmt.Sprintf("fx5600-pcie%d", g+1))
@@ -63,7 +63,7 @@ func BusGenerations(ctx context.Context, seed uint64) ([]BusGenRow, error) {
 
 // RenderBusGenerations prints the study.
 func RenderBusGenerations(rows []BusGenRow) string {
-	gens := pcie.Generations()
+	gens := pcie.Profiles()[:3]
 	var b strings.Builder
 	b.WriteString("Bus generations: measured speedup and transfer share, same GPU/CPU,\n")
 	b.WriteString("upgraded PCIe link (the paper's §II-B bandwidth ladder)\n")

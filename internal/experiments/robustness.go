@@ -47,16 +47,26 @@ func Robustness(ctx context.Context, baseSeed uint64, n int) (RobustnessResult, 
 		// increment, guaranteeing distinct streams.
 		seeds[i] = baseSeed + uint64(i)*0x9e3779b97f4a7c15
 	}
+	// Seeds run concurrently: each gets its own run, so its spans keep
+	// their own simulated clock. The runs open here, in seed order, so
+	// the trace lists them in that order however the workers interleave.
+	ctxs := make([]context.Context, n)
+	runs := make([]*trace.Span, n)
+	for i := range runs {
+		ctxs[i], runs[i] = trace.StartRun(ctx, fmt.Sprintf("seed %d", i))
+	}
+	defer func() {
+		for _, run := range runs {
+			run.End()
+		}
+	}()
 	points, err := sweep.Run(ctx, n, 0, func(i int) (point, error) {
-		// Seeds run concurrently: each gets its own run, so its spans
-		// keep their own simulated clock.
-		ctx, run := trace.StartRun(ctx, fmt.Sprintf("seed %d", i))
-		defer run.End()
+		defer runs[i].End()
 		ec, err := NewContext(seeds[i])
 		if err != nil {
 			return point{}, err
 		}
-		res, err := ec.Table2(ctx)
+		res, err := ec.Table2(ctxs[i])
 		if err != nil {
 			return point{}, err
 		}

@@ -15,7 +15,7 @@ import (
 
 func testBus() *pcie.Bus { return pcie.NewBus(pcie.DefaultConfig()) }
 
-func testGPU() *gpusim.Sim { return gpusim.New(gpu.QuadroFX5600(), gpusim.DefaultConfig()) }
+func testGPU() *gpusim.Sim { return gpusim.New(gpu.QuadroFX5600(), 0x51b) }
 
 // testKernel is a small streaming kernel and its noiseless launch
 // time on testGPU.
@@ -308,7 +308,7 @@ func TestParsePlanRejectsMalformed(t *testing.T) {
 
 func TestSetAggregatesStats(t *testing.T) {
 	sim := testGPU()
-	cpuSim := cpumodel.New(cpumodel.XeonE5405(), cpumodel.DefaultConfig())
+	cpuSim := cpumodel.New(cpumodel.XeonE5405(), 0xcb0)
 	set := NewSet(Plan{DriftRate: 1e-9, Seed: 1}, testBus(), sim, cpuSim)
 	if _, err := set.Bus.Transfer(pcie.HostToDevice, pcie.Pinned, units.KB); err != nil {
 		t.Fatal(err)

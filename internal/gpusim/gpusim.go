@@ -52,39 +52,26 @@ var (
 // grids.
 const LaunchVariance = 1.12
 
-// Config controls simulator noise.
-type Config struct {
-	// Seed seeds the measurement-noise stream.
-	Seed uint64
-	// NoiseSigma is the lognormal sigma of run-to-run kernel timing
-	// jitter. GPU kernels repeat very stably; a fraction of a percent.
-	NoiseSigma float64
-}
-
-// DefaultConfig returns the noise settings used by the experiments.
-func DefaultConfig() Config {
-	return Config{Seed: 0x51b, NoiseSigma: 0.006}
-}
+// NoiseSigma is the lognormal sigma of run-to-run kernel timing
+// jitter. GPU kernels repeat very stably; a fraction of a percent.
+const NoiseSigma = 0.006
 
 // Sim simulates kernels on one GPU architecture. Create it with New;
 // it is not safe for concurrent use (runs draw from one noise stream,
 // and a real GPU serializes kernels too).
 type Sim struct {
 	arch  gpu.Arch
-	cfg   Config
 	noise *rng.Stream
 }
 
-// New builds a simulator for the architecture. It panics on an
-// invalid architecture, which is a programming error.
-func New(arch gpu.Arch, cfg Config) *Sim {
+// New builds a simulator for the architecture whose noise stream is
+// seeded by seed. It panics on an invalid architecture, which is a
+// programming error.
+func New(arch gpu.Arch, seed uint64) *Sim {
 	if err := arch.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.NoiseSigma < 0 {
-		panic("gpusim: negative noise sigma")
-	}
-	return &Sim{arch: arch, cfg: cfg, noise: rng.New(cfg.Seed)}
+	return &Sim{arch: arch, noise: rng.New(seed)}
 }
 
 // Arch returns the simulated architecture.
@@ -103,7 +90,7 @@ func (s *Sim) Run(ch perfmodel.Characteristics) (float64, error) {
 // Launch observes one launch of a kernel whose noiseless time is
 // base (BaseTime): one noise draw, counted in the launch metrics.
 func (s *Sim) Launch(base float64) float64 {
-	t := base * s.noise.LogNormalFactor(s.cfg.NoiseSigma)
+	t := base * s.noise.LogNormalFactor(NoiseSigma)
 	mLaunches.Inc()
 	mLaunchSeconds.Observe(t)
 	return t

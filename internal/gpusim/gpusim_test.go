@@ -9,7 +9,7 @@ import (
 	"grophecy/internal/perfmodel"
 )
 
-func newSim() *Sim { return New(gpu.QuadroFX5600(), DefaultConfig()) }
+func newSim() *Sim { return New(gpu.QuadroFX5600(), 0x51b) }
 
 func streaming(threads int64) perfmodel.Characteristics {
 	return perfmodel.Characteristics{
@@ -31,16 +31,7 @@ func TestNewPanicsOnInvalidArch(t *testing.T) {
 			t.Fatal("invalid arch accepted")
 		}
 	}()
-	New(gpu.Arch{}, DefaultConfig())
-}
-
-func TestNewPanicsOnNegativeNoise(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative noise accepted")
-		}
-	}()
-	New(gpu.QuadroFX5600(), Config{NoiseSigma: -1})
+	New(gpu.Arch{}, 0x51b)
 }
 
 func TestBaseTimePositiveAndIncludesLaunchOverhead(t *testing.T) {

@@ -16,7 +16,7 @@
 //     Exceeding either yields errdefs.ErrMeasureTimeout; a partial
 //     Result with the samples gathered so far is still returned so
 //     callers can degrade gracefully.
-//   - The estimator is outlier-robust: trimmed mean or median instead
+//   - The estimator is outlier-robust: a trimmed mean instead
 //     of the raw mean, with an optional convergence criterion that
 //     keeps sampling (up to MaxRuns) until the estimate is stable.
 //
@@ -70,8 +70,6 @@ const (
 	// TrimmedMean discards the TrimFrac fraction of samples from each
 	// end before averaging.
 	TrimmedMean
-	// Median is the most outlier-robust choice.
-	Median
 )
 
 // String implements fmt.Stringer.
@@ -81,8 +79,6 @@ func (e Estimator) String() string {
 		return "mean"
 	case TrimmedMean:
 		return "trimmed mean"
-	case Median:
-		return "median"
 	default:
 		return fmt.Sprintf("Estimator(%d)", int(e))
 	}
@@ -167,7 +163,7 @@ func (c Config) Validate() error {
 		return errdefs.Invalidf("measure: negative deadline %v", c.Deadline)
 	}
 	switch c.Estimator {
-	case Mean, TrimmedMean, Median:
+	case Mean, TrimmedMean:
 	default:
 		return errdefs.Invalidf("measure: unknown estimator %d", c.Estimator)
 	}
@@ -340,13 +336,6 @@ func (m *Meter) finish(res Result, samples []float64) Result {
 		return res
 	}
 	switch m.cfg.Estimator {
-	case Median:
-		s := sorted(samples)
-		if n := len(s); n%2 == 1 {
-			res.Value = s[n/2]
-		} else {
-			res.Value = (s[n/2-1] + s[n/2]) / 2
-		}
 	case TrimmedMean:
 		s := sorted(samples)
 		k := int(m.cfg.TrimFrac * float64(len(s)))

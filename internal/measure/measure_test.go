@@ -187,7 +187,6 @@ func TestEstimators(t *testing.T) {
 	}{
 		{Mean, 0, 20.8, 0},
 		{TrimmedMean, 0.2, 1, 4},
-		{Median, 0, 1, 0},
 	}
 	for _, tc := range cases {
 		cfg := fixedCfg()

@@ -24,8 +24,8 @@ type rig struct {
 
 func newRig() rig {
 	return rig{
-		gpu: gpusim.New(gpu.QuadroFX5600(), gpusim.DefaultConfig()),
-		cpu: cpumodel.New(cpumodel.XeonE5405(), cpumodel.DefaultConfig()),
+		gpu: gpusim.New(gpu.QuadroFX5600(), 0x51b),
+		cpu: cpumodel.New(cpumodel.XeonE5405(), 0xcb0),
 		bus: pcie.NewBus(pcie.DefaultConfig()),
 	}
 }

@@ -302,7 +302,9 @@ type Profile struct {
 
 // Profiles returns every built-in bus preset, oldest first: the
 // paper's three PCIe generations plus the modern v4/v5 links and an
-// NVLink-like profile.
+// NVLink-like profile. The first three match the paper's §II-B
+// enumeration of PCIe effective bandwidths ("approximately 3, 6, or
+// 12 GB/s for PCIe versions 1, 2, and 3").
 func Profiles() []Profile {
 	return []Profile{
 		{Name: "PCIe v1 x16", Gen: 1, Lanes: 16, Cfg: DefaultConfig()},
@@ -312,27 +314,6 @@ func Profiles() []Profile {
 		{Name: "PCIe v5 x16", Gen: 5, Lanes: 16, Cfg: Gen5Config()},
 		{Name: "NVLink", Gen: 0, Lanes: 0, Cfg: NVLinkConfig()},
 	}
-}
-
-// Generations returns the three bus configurations with their labels,
-// matching the paper's §II-B enumeration of PCIe effective bandwidths
-// ("approximately 3, 6, or 12 GB/s for PCIe versions 1, 2, and 3").
-// The full preset list, including the modern links, is Profiles.
-func Generations() []struct {
-	Name string
-	Cfg  Config
-} {
-	out := make([]struct {
-		Name string
-		Cfg  Config
-	}, 3)
-	for i, p := range Profiles()[:3] {
-		out[i] = struct {
-			Name string
-			Cfg  Config
-		}{p.Name, p.Cfg}
-	}
-	return out
 }
 
 // Validate reports whether the configuration is physically sensible.

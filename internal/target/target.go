@@ -249,7 +249,7 @@ func ForGPU(gpuName string) (Target, error) {
 	for _, t := range Default.List() {
 		if t.GPU.Name == gpuName &&
 			t.CPU.Name == cpumodel.XeonE5405().Name &&
-			t.BusName == pcie.Generations()[0].Name &&
+			t.BusName == pcie.Profiles()[0].Name &&
 			t.Memory == pcie.Pinned {
 			return t, nil
 		}

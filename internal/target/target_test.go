@@ -166,7 +166,7 @@ func TestForGPU(t *testing.T) {
 		if tgt.CPU.Name != cpumodel.XeonE5405().Name {
 			t.Errorf("ForGPU(%q) resolved CPU %q, want the paper's", a.Name, tgt.CPU.Name)
 		}
-		if tgt.BusName != pcie.Generations()[0].Name {
+		if tgt.BusName != pcie.Profiles()[0].Name {
 			t.Errorf("ForGPU(%q) resolved bus %q, want PCIe v1", a.Name, tgt.BusName)
 		}
 	}

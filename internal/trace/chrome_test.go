@@ -47,6 +47,72 @@ func TestChromeJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestChromeJSONNestedRunsOnOwnThreads: every run nested under the
+// exported one, directly or through a service span, draws on its own
+// thread, named by a thread_name event and timed on its own clock.
+func TestChromeJSONNestedRunsOnOwnThreads(t *testing.T) {
+	tr := New("paper")
+	ctx := With(context.Background(), tr)
+	_, cal := Start(ctx, "calibrate")
+	cal.Advance(0.5)
+	cal.End()
+	sctx, sweep := Start(ctx, "robustness")
+	seed := func(parent context.Context, i int) {
+		rctx, run := StartRun(parent, fmt.Sprintf("seed %d", i))
+		_, k := Start(rctx, "kernel")
+		k.Advance(float64(i + 1))
+		k.End()
+		run.End()
+	}
+	seed(sctx, 0)
+	wctx, svc := StartWall(sctx, "service")
+	seed(wctx, 1)
+	svc.End()
+	sweep.End()
+	tr.Close()
+
+	data, err := tr.ChromeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc ChromeTrace
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	type event struct {
+		name, phase string
+		tid         int
+		ts, dur     float64
+	}
+	want := []event{
+		{"process_name", "M", 1, 0, 0},
+		{"paper", "X", 1, 0, 0.5e6},
+		{"calibrate", "X", 1, 0, 0.5e6},
+		{"robustness", "X", 1, 0.5e6, 0},
+		{"thread_name", "M", 2, 0, 0},
+		{"seed 0", "X", 2, 0, 1e6},
+		{"kernel", "X", 2, 0, 1e6},
+		{"thread_name", "M", 3, 0, 0},
+		{"seed 1", "X", 3, 0, 2e6},
+		{"kernel", "X", 3, 0, 2e6},
+	}
+	if len(doc.TraceEvents) != len(want) {
+		t.Fatalf("got %d events, want %d:\n%s", len(doc.TraceEvents), len(want), data)
+	}
+	for i, w := range want {
+		ev := doc.TraceEvents[i]
+		got := event{ev.Name, ev.Phase, ev.Tid, ev.Ts, ev.Dur}
+		if got != w || ev.Pid != 1 {
+			t.Errorf("event %d = %+v (pid %d), want %+v", i, got, ev.Pid, w)
+		}
+	}
+	for i, tid := range []int{2, 3} {
+		if name := doc.TraceEvents[4+3*i].Args["name"]; name != fmt.Sprintf("seed %d", i) {
+			t.Errorf("thread %d named %q", tid, name)
+		}
+	}
+}
+
 // buildFromOps turns an opcode string into a well-formed span tree:
 // 's' starts a child of the innermost open span, 'e' ends it, 'a'
 // advances it, anything else is ignored. The construction maintains a

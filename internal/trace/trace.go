@@ -541,7 +541,7 @@ func checkTimeline(s *Span) error {
 	prevStart := s.start
 	var childSum float64
 	var err error
-	eachTimelineChild(s, func(c *Span) {
+	eachTimelineChild(s, kindSim, func(c *Span) {
 		switch {
 		case err != nil:
 		case c.start < prevStart:
@@ -567,16 +567,17 @@ func checkTimeline(s *Span) error {
 	return nil
 }
 
-// eachTimelineChild visits s's children on its simulated timeline in
-// creation order: service spans are replaced by their own timeline
-// children, and nested runs (separate timelines) are skipped. Callers
-// must hold the tracer lock.
-func eachTimelineChild(s *Span, fn func(*Span)) {
+// eachTimelineChild visits s's children of the given kind in creation
+// order, with service spans replaced by their own children. With
+// kindSim it visits the children on s's simulated timeline; with
+// kindRun, the runs nested directly under s, each a timeline of its
+// own. Callers must hold the tracer lock.
+func eachTimelineChild(s *Span, kind spanKind, fn func(*Span)) {
 	for _, c := range s.children {
 		switch c.kind {
 		case kindWall:
-			eachTimelineChild(c, fn)
-		case kindSim:
+			eachTimelineChild(c, kind, fn)
+		case kind:
 			fn(c)
 		}
 	}
@@ -587,7 +588,7 @@ func eachTimelineChild(s *Span, fn func(*Span)) {
 // hold the tracer lock.
 func walkTimeline(s *Span, depth int, fn func(*Span, int)) {
 	fn(s, depth)
-	eachTimelineChild(s, func(c *Span) { walkTimeline(c, depth+1, fn) })
+	eachTimelineChild(s, kindSim, func(c *Span) { walkTimeline(c, depth+1, fn) })
 }
 
 // Walk visits every span of the tree — simulated, run and service

@@ -89,35 +89,30 @@ func (pm PiecewiseModel) Valid() bool {
 	return pm.Summary.Valid()
 }
 
-// DefaultPiecewiseGrid returns the default knot grid for cfg: the
+// DefaultPiecewiseGrid returns the piecewise knot grid for cfg: the
 // two-point sizes bracketing knots at the command-buffer, staging-
 // chunk, and anomaly-band boundaries of the simulated driver stack —
 // the three places where pageable transfer curves bend.
 func DefaultPiecewiseGrid(cfg CalibrationConfig) []int64 {
-	return cfg.Grid([]int64{
+	return []int64{
 		cfg.SmallSize,
 		2 * units.KB,
 		64 * units.KB,
 		4 * units.MB,
 		cfg.LargeSize,
-	})
+	}
 }
 
-// CalibratePiecewise measures every knot of the grid (cfg.Sizes, or
-// DefaultPiecewiseGrid) through sample and fits one secant line
-// per adjacent knot pair and direction: β is the slope between the
-// two mean times, α the intercept. A knot whose mean does not exceed
-// the last kept knot's is bridged by the secant across it. With
-// exactly two knots this degenerates to a single global line fitted
-// through both measured points.
+// CalibratePiecewise measures every knot of DefaultPiecewiseGrid
+// through sample and fits one secant line per adjacent knot pair and
+// direction: β is the slope between the two mean times, α the
+// intercept. A knot whose mean does not exceed the last kept knot's
+// is bridged by the secant across it.
 func CalibratePiecewise(sample Sampler, cfg CalibrationConfig) (PiecewiseModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return PiecewiseModel{}, err
 	}
 	knots := DefaultPiecewiseGrid(cfg)
-	if len(knots) < 2 {
-		return PiecewiseModel{}, errdefs.Invalidf("xfermodel: piecewise calibration needs at least two knots")
-	}
 	pm := PiecewiseModel{Knots: knots, Kind: cfg.Kind}
 	pm.Summary = BusModel{Kind: cfg.Kind}
 	for d := 0; d < pcie.NumDirections; d++ {

@@ -130,12 +130,6 @@ type CalibrationConfig struct {
 	LargeSize int64
 	// Kind is the host memory kind to calibrate for.
 	Kind pcie.MemoryKind
-	// Sizes, when non-empty, is an explicit ascending sample grid for
-	// the grid-based calibration schemes (least-squares, piecewise).
-	// The two-point scheme ignores it. Empty means each scheme derives
-	// its own default grid from [SmallSize, LargeSize], so backends
-	// can request a custom grid without forking the calibration path.
-	Sizes []int64
 }
 
 // DefaultCalibration returns the paper's calibration settings: 10
@@ -163,26 +157,7 @@ func (c CalibrationConfig) Validate() error {
 	if !c.Kind.Valid() {
 		return errdefs.Invalidf("xfermodel: invalid memory kind %d", c.Kind)
 	}
-	for i, s := range c.Sizes {
-		if s <= 0 {
-			return errdefs.Invalidf("xfermodel: non-positive sample size %d in grid", s)
-		}
-		if i > 0 && s <= c.Sizes[i-1] {
-			return errdefs.Invalidf("xfermodel: sample grid must be strictly ascending (%d after %d)",
-				s, c.Sizes[i-1])
-		}
-	}
 	return nil
-}
-
-// Grid returns the effective sample grid for grid-based calibration
-// schemes: the explicit Sizes when set, otherwise def (which schemes
-// derive from [SmallSize, LargeSize]).
-func (c CalibrationConfig) Grid(def []int64) []int64 {
-	if len(c.Sizes) > 0 {
-		return c.Sizes
-	}
-	return def
 }
 
 // Point is one measured calibration point.
