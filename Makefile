@@ -28,11 +28,12 @@ all: check
 
 # The default verification gate: everything must compile, pass vet,
 # pass the full test suite under the race detector, keep total
-# coverage at or above COVER_BASELINE, hold the benchmark regression
-# gate against the last commit (BASE, default HEAD), bring up a real
-# grophecyd end to end, and run every example program. After a commit,
-# gate it against its parent: `make check BASE=HEAD~1`.
-check: build vet race-cover bench-gate smoke smoke-chaos examples
+# coverage at or above COVER_BASELINE, bring up a real grophecyd end
+# to end, run every example program, and hold the benchmark regression
+# gate against the last commit (BASE, default HEAD). The gate runs
+# last, so a gate failure never hides the steps before it. After a
+# commit, gate it against its parent: `make check BASE=HEAD~1`.
+check: build vet race-cover smoke smoke-chaos examples bench-gate
 
 race:
 	$(GO) test -race ./...

@@ -29,7 +29,6 @@ import (
 	"grophecy/internal/fault"
 	"grophecy/internal/gpu"
 	"grophecy/internal/metrics"
-	"grophecy/internal/obs"
 	"grophecy/internal/pcie"
 	"grophecy/internal/perfmodel"
 	"grophecy/internal/report"
@@ -62,18 +61,11 @@ func main() {
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this path (view in chrome://tracing or ui.perfetto.dev)")
 		showSpan = flag.Bool("spans", false, "print the simulated-time span tree after the report")
 		showMet  = flag.Bool("metrics", false, "dump pipeline metrics (Prometheus text format) after the report")
-		logFmt   = flag.String("log-format", "text", obs.LogFormatUsage)
-		logLevel = flag.String("log-level", "warn", obs.LogLevelUsage)
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	ctx, err := obs.Setup(ctx, os.Stderr, *logFmt, *logLevel)
-	if err != nil {
-		fatal(err)
-	}
 
 	var tracer *trace.Tracer
 	if *traceOut != "" || *showSpan {

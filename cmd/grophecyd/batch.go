@@ -281,7 +281,7 @@ func wantsNDJSON(req *http.Request) bool {
 // are the request-level 400s; job failures carry their own error and
 // status on their row.
 func (s *server) handleBatch(w http.ResponseWriter, req *http.Request) {
-	ctx := obs.WithLogger(req.Context(), s.cfg.Logger)
+	ctx := req.Context()
 	event := obs.EventFrom(ctx)
 
 	// A failure rides on the request's wide event as err, which the
@@ -465,8 +465,6 @@ func (s *server) runJob(ctx context.Context, r resolvedJob, runID string, stream
 	out.runID = runID
 
 	start := time.Now()
-	ctx = obs.WithRun(ctx, runID)
-	ctx = obs.WithWorkload(ctx, r.wl.Name)
 	ctx, run := trace.StartRun(ctx, "grophecyd")
 
 	// Batch jobs share the request's tree: every row's walltrace

@@ -76,8 +76,8 @@ func main() {
 		otlpFile = flag.String("otlp-file", "", "append each request's wall-clock trace as OTLP/JSON NDJSON to this file (empty disables)")
 		otlpURL  = flag.String("otlp-endpoint", "", "POST each request's wall-clock trace as OTLP/JSON to this collector URL (empty disables)")
 		sloLat   = flag.Duration("slo-latency", 5*time.Second, "latency-SLO threshold: a request this fast counts as good")
-		logFmt   = flag.String("log-format", "text", obs.LogFormatUsage)
-		logLevel = flag.String("log-level", "info", obs.LogLevelUsage)
+		logFmt   = flag.String("log-format", "text", "log line format: text or json")
+		logLevel = flag.String("log-level", "info", "minimum log severity: debug, info, warn, error")
 	)
 	flag.Parse()
 

@@ -366,23 +366,35 @@ func infoRecords(t *testing.T, logs *syncWriter) []map[string]any {
 // TestOneInfoRecordPerRequest: a /project or /batch request writes
 // exactly one log record at any level, its wide event, which carries
 // the fields the removed per-handler lines used to. A served request's
-// record is Info; a failed one's is Error and carries err.
+// record is Info; a failed one's is Error and carries err. A failed
+// batch job and degraded measurements write no records of their own:
+// they live on the job's row and in the report's degradation notes,
+// which the wide event counts.
 func TestOneInfoRecordPerRequest(t *testing.T) {
 	srv, _, logs := startDaemon(t, daemonConfig{})
+	faulty, _, faultyLogs := startDaemon(t, daemonConfig{FaultSpec: "transient=0.7,seed=1"})
 	src := hotspotSource(t)
 	batch := `[{"workload":"HotSpot","size":"512 x 512"},{"workload":"SRAD","size":"1024 x 1024"},{"workload":"CFD","size":"97K"}]`
+	badJob := `[{"workload":"HotSpot","size":"512 x 512"},{"workload":"NoSuchWorkload","size":"1"}]`
 	cases := []struct {
 		name, path, body, accept string
+		faulty                   bool
 		status                   int
 		fields                   []string
 	}{
-		{"project", "/project", src, "", http.StatusOK, []string{"speedup_full", "degradations"}},
-		{"batch", "/batch", batch, "", http.StatusOK, []string{"jobs", "succeeded", "streamed"}},
-		{"batch ndjson", "/batch", batch, ndjsonContentType, http.StatusOK, []string{"jobs", "succeeded", "streamed"}},
-		{"project 400", "/project", "kernel {", "", http.StatusBadRequest, []string{"run", "err"}},
-		{"batch rejected", "/batch", `[{"workload":`, "", http.StatusBadRequest, []string{"err"}},
+		{"project", "/project", src, "", false, http.StatusOK, []string{"speedup_full", "degradations"}},
+		{"batch", "/batch", batch, "", false, http.StatusOK, []string{"jobs", "succeeded", "streamed"}},
+		{"batch ndjson", "/batch", batch, ndjsonContentType, false, http.StatusOK, []string{"jobs", "succeeded", "streamed"}},
+		{"batch failed job", "/batch", badJob, "", false, http.StatusOK, []string{"jobs", "succeeded", "streamed"}},
+		{"project degraded", "/project", src, "", true, http.StatusOK, []string{"speedup_full", "degradations"}},
+		{"project 400", "/project", "kernel {", "", false, http.StatusBadRequest, []string{"run", "err"}},
+		{"batch rejected", "/batch", `[{"workload":`, "", false, http.StatusBadRequest, []string{"err"}},
 	}
 	for _, c := range cases {
+		srv, logs := srv, logs
+		if c.faulty {
+			srv, logs = faulty, faultyLogs
+		}
 		before := len(logRecords(t, logs))
 		req, err := http.NewRequest("POST", srv.URL+c.path, strings.NewReader(c.body))
 		if err != nil {
@@ -417,6 +429,9 @@ func TestOneInfoRecordPerRequest(t *testing.T) {
 			if _, ok := recs[0][f]; !ok {
 				t.Errorf("%s: wide event missing %q: %v", c.name, f, recs[0])
 			}
+		}
+		if n, _ := recs[0]["degradations"].(float64); c.faulty && n == 0 {
+			t.Errorf("%s: wide event counts no degradations: %v", c.name, recs[0])
 		}
 	}
 }

@@ -296,9 +296,11 @@ func (s *server) saveSnapshot() error {
 	return s.store.SaveAll(context.Background(), s.pool.Export())
 }
 
-// calibrateProbeAttempts bounds the startup probe's own retry loop;
-// each attempt already carries the pool's transient-retry budget, so
-// this only has to outlast a chaos streak or a breaker window.
+// calibrateProbeAttempts bounds the startup probe's own retry loop:
+// at most this many attempts, 100 ms apart, each already carrying the
+// pool's transient-retry budget. The loop rides out a calibration that
+// failed after those retries; it cannot wait out an open circuit
+// breaker, which rejects for far longer (engine.DefaultBreakerOpenFor).
 const calibrateProbeAttempts = 3
 
 // calibrate is the startup probe: it calibrates the configured target
@@ -309,8 +311,7 @@ const calibrateProbeAttempts = 3
 // a few times before giving up — a daemon that could serve must not
 // stay not-ready because its first calibration drew badly.
 func (s *server) calibrate(ctx context.Context) error {
-	ctx = obs.WithLogger(ctx, s.cfg.Logger)
-	ctx = obs.WithPhase(ctx, "calibrate")
+	lg := s.cfg.Logger
 	var (
 		p   *core.Projector
 		err error
@@ -320,30 +321,32 @@ func (s *server) calibrate(ctx context.Context) error {
 		if err == nil || ctx.Err() != nil || attempt >= calibrateProbeAttempts {
 			break
 		}
-		obs.Log(ctx).Warn("startup PCIe calibration attempt failed, retrying",
-			"attempt", attempt, "err", err.Error())
+		lg.Warn("startup PCIe calibration attempt failed, retrying",
+			"attempt", attempt, "err", err.Error(), obs.FieldPhase, "calibrate")
 		select {
 		case <-time.After(100 * time.Millisecond):
 		case <-ctx.Done():
 		}
 	}
 	if err != nil {
-		obs.Log(ctx).Error("startup PCIe calibration failed; staying not-ready", "err", err.Error())
+		lg.Error("startup PCIe calibration failed; staying not-ready",
+			"err", err.Error(), obs.FieldPhase, "calibrate")
 		return err
 	}
 	if h := p.Health(); h != nil && h.Degraded() {
 		detail := strings.Join(h.Degradations, "; ")
 		s.ready.SetReady(true, detail)
-		obs.Log(ctx).Warn("ready with degraded PCIe calibration",
-			"degradations", len(h.Degradations), "detail", detail)
+		lg.Warn("ready with degraded PCIe calibration",
+			"degradations", len(h.Degradations), "detail", detail, obs.FieldPhase, "calibrate")
 		return nil
 	}
 	s.ready.SetReady(false, "")
 	bm := p.BusModel()
-	obs.Log(ctx).Info("PCIe calibration succeeded, serving",
+	lg.Info("PCIe calibration succeeded, serving",
 		"target", s.tgt.Name,
 		"transfers", bm.CalibrationTransfers,
-		"bus_cost_s", fmt.Sprintf("%.3g", bm.CalibrationCost))
+		"bus_cost_s", fmt.Sprintf("%.3g", bm.CalibrationCost),
+		obs.FieldPhase, "calibrate")
 	return nil
 }
 
@@ -507,7 +510,7 @@ func (s *server) handleBackends(w http.ResponseWriter, req *http.Request) {
 func (s *server) handleProject(w http.ResponseWriter, req *http.Request) {
 	runID := obs.NewRunID()
 	w.Header().Set("X-Run-Id", runID)
-	ctx := obs.WithLogger(req.Context(), s.cfg.Logger)
+	ctx := req.Context()
 	event := obs.EventFrom(ctx)
 	event.Set("run", runID)
 

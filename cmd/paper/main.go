@@ -22,7 +22,6 @@ import (
 	"grophecy/internal/core"
 	"grophecy/internal/experiments"
 	"grophecy/internal/metrics"
-	"grophecy/internal/obs"
 	"grophecy/internal/target"
 	"grophecy/internal/trace"
 )
@@ -45,8 +44,6 @@ func main() {
 		bkName   = flag.String("backend", "", "prediction backend name (default: "+backend.DefaultName+")")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this path (experiment-level spans)")
 		showMet  = flag.Bool("metrics", false, "dump pipeline metrics (Prometheus text format) after the output")
-		logFmt   = flag.String("log-format", "text", obs.LogFormatUsage)
-		logLevel = flag.String("log-level", "warn", obs.LogLevelUsage)
 	)
 	flag.Parse()
 
@@ -59,10 +56,7 @@ func main() {
 	// Each table or figure runs under a structural span, and the span's
 	// context is the experiment's first argument, so per-kernel spans
 	// nest under their section (see docs/OBSERVABILITY.md).
-	tctx, err := obs.Setup(context.Background(), os.Stderr, *logFmt, *logLevel)
-	if err != nil {
-		fatal(err)
-	}
+	tctx := context.Background()
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = trace.New("paper")

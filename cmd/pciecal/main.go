@@ -20,7 +20,6 @@ import (
 
 	"grophecy/internal/experiments"
 	"grophecy/internal/metrics"
-	"grophecy/internal/obs"
 	"grophecy/internal/pcie"
 	"grophecy/internal/trace"
 	"grophecy/internal/units"
@@ -36,15 +35,10 @@ func main() {
 		runs     = flag.Int("runs", 10, "transfers averaged per measurement")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this path")
 		showMet  = flag.Bool("metrics", false, "dump pipeline metrics (Prometheus text format) after the output")
-		logFmt   = flag.String("log-format", "text", obs.LogFormatUsage)
-		logLevel = flag.String("log-level", "warn", obs.LogLevelUsage)
 	)
 	flag.Parse()
 
-	ctx, err := obs.Setup(context.Background(), os.Stderr, *logFmt, *logLevel)
-	if err != nil {
-		fatal(err)
-	}
+	ctx := context.Background()
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = trace.New("pciecal")

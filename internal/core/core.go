@@ -43,7 +43,6 @@ import (
 	"grophecy/internal/gpusim"
 	"grophecy/internal/measure"
 	"grophecy/internal/metrics"
-	"grophecy/internal/obs"
 	"grophecy/internal/pcie"
 	"grophecy/internal/perfmodel"
 	"grophecy/internal/skeleton"
@@ -357,7 +356,6 @@ func New(ctx context.Context, m *Machine, opts Options) (*Projector, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx = obs.WithPhase(ctx, "calibrate")
 	ctx, span := trace.Start(ctx, "xfermodel.calibrate", trace.String("backend", b.Name()))
 	defer span.End()
 	cfg := xfermodel.DefaultCalibration()
@@ -552,22 +550,18 @@ func (p *Projector) measureCPU(ctx context.Context, w cpumodel.Workload, notes *
 // measured ("kernel", "transfer", "CPU baseline"); name, when non-nil,
 // identifies which one (a kernel name, a datausage.Transfer) and is
 // formatted only here, once a note is written. Each rung appends one
-// note and logs one warning.
+// note, the rung's only record.
 func degrade(ctx context.Context, kind string, name any, res measure.Result, err error, using string, fallback func() (float64, error), notes *[]string) (float64, error) {
 	if !degradable(ctx, err) {
 		return 0, err
 	}
-	subject, attrs := kind, []any{}
+	subject := kind
 	if name != nil {
-		label := fmt.Sprint(name)
-		subject += " " + label
-		attrs = append(attrs, kind, label)
+		subject += " " + fmt.Sprint(name)
 	}
 	if res.Samples > 0 {
 		*notes = append(*notes, fmt.Sprintf(
 			"%s: measurement cut short (%d samples kept): %v", subject, res.Samples, err))
-		obs.Log(ctx).Warn(kind+" measurement cut short, keeping partial estimate",
-			append(attrs, "samples", res.Samples, "retries", res.Retries, "err", err.Error())...)
 		return res.Value, nil
 	}
 	v, ferr := fallback()
@@ -576,8 +570,6 @@ func degrade(ctx context.Context, kind string, name any, res measure.Result, err
 	}
 	*notes = append(*notes, fmt.Sprintf(
 		"%s: measurement unrecoverable, using %s: %v", subject, using, err))
-	obs.Log(ctx).Warn(kind+" measurement unrecoverable, using "+using,
-		append(attrs, "retries", res.Retries, "err", err.Error())...)
 	return v, nil
 }
 

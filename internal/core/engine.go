@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"log/slog"
 
 	"grophecy/internal/cpumodel"
 	"grophecy/internal/datausage"
 	"grophecy/internal/errdefs"
-	"grophecy/internal/obs"
 	"grophecy/internal/skeleton"
 	"grophecy/internal/trace"
 )
@@ -107,9 +105,8 @@ func DefaultEngine() *Engine { return defaultEngine }
 // Evaluate runs the staged pipeline on one workload with the given
 // projector. It owns the evaluation-level observability — the
 // "evaluate" span whose simulated clock advances by the projected GPU
-// time, the start/finish debug lines, the evaluation counter — while
-// each stage traces and meters itself. The daemon's one Info or
-// Error record per request is its wide event, not these lines.
+// time and the evaluation counter — while each stage traces and meters
+// itself.
 func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report, error) {
 	if p == nil {
 		return Report{}, errdefs.Invalidf("core: Evaluate with nil projector")
@@ -118,12 +115,6 @@ func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report
 		return Report{}, err
 	}
 	mEvaluations.Inc()
-	ctx = obs.WithWorkload(ctx, w.Name)
-	lg := obs.Log(obs.WithPhase(ctx, "evaluate"))
-	lg.Debug("projection started",
-		"size", w.DataSize,
-		"iterations", w.Seq.Iterations,
-		"resilient", p.m.Faults != nil)
 	ctx, span := trace.Start(ctx, "evaluate",
 		trace.String("workload", w.Name),
 		trace.String("size", w.DataSize),
@@ -145,15 +136,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Projector, w Workload) (Report
 		}
 	}
 
-	r := st.Report
-	if lg.Enabled(ctx, slog.LevelDebug) {
-		lg.Debug("projection finished",
-			"speedup_full", fmt.Sprintf("%.3g", r.SpeedupFull()),
-			"measured_speedup", fmt.Sprintf("%.3g", r.MeasuredSpeedup()),
-			"pred_total_gpu_s", fmt.Sprintf("%.3g", r.PredTotalGPU()),
-			"degradations", len(r.Degradations))
-	}
-	return r, nil
+	return st.Report, nil
 }
 
 // analyzeStage derives the transfer plan from the kernel sequence and
@@ -222,8 +205,7 @@ func (p *Projector) kernelResults(ctx context.Context, seq *skeleton.Sequence, n
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		kctx := obs.WithPhase(ctx, "kernel")
-		kctx, kspan := trace.Start(kctx, "kernel "+k.Name)
+		kctx, kspan := trace.Start(ctx, "kernel "+k.Name)
 		variant, proj, err := p.projectKernel(kctx, k)
 		if err != nil {
 			kspan.End()
@@ -272,8 +254,7 @@ func (p *Projector) transferResults(ctx context.Context, uploads, downloads []da
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			tctx := obs.WithPhase(ctx, "transfer")
-			tctx, tspan := trace.Start(tctx, "transfer "+tr.String(),
+			tctx, tspan := trace.Start(ctx, "transfer "+tr.String(),
 				trace.Int("bytes", tr.Bytes()),
 				trace.String("dir", tr.Dir.String()))
 			pred, err := p.predictTransfer(tr)
@@ -317,8 +298,7 @@ func (cpuStage) Run(ctx context.Context, st *EvalState) error {
 // simulated time. Programs measure their whole-program baseline with
 // it.
 func (p *Projector) cpuBaseline(ctx context.Context, w cpumodel.Workload, notes *[]string) (float64, error) {
-	cctx := obs.WithPhase(ctx, "cpu")
-	cctx, cspan := trace.Start(cctx, "cpu.baseline")
+	cctx, cspan := trace.Start(ctx, "cpu.baseline")
 	defer cspan.End()
 	t, err := p.measureCPU(cctx, w, notes)
 	if err != nil {

@@ -20,7 +20,8 @@ import (
 
 // Entry is one completed projection run.
 type Entry struct {
-	// ID is the run ID ("run-7") stamped on the run's log lines.
+	// ID is the run ID ("run-7"), as a /project response's X-Run-Id
+	// header and a batch row's runId name it.
 	ID string
 	// Workload and DataSize identify what was projected.
 	Workload string

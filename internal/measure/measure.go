@@ -33,7 +33,6 @@ import (
 
 	"grophecy/internal/errdefs"
 	"grophecy/internal/metrics"
-	"grophecy/internal/obs"
 	"grophecy/internal/pcie"
 	"grophecy/internal/rng"
 	"grophecy/internal/trace"
@@ -263,8 +262,6 @@ func (m *Meter) sampleLoop(ctx context.Context, sample func() (float64, error)) 
 		default:
 		}
 		if m.cfg.Deadline > 0 && res.SimTime > m.cfg.Deadline {
-			obs.Log(ctx).Warn("measurement exhausted its simulated budget",
-				"budget_s", m.cfg.Deadline, "samples", len(samples), "retries", res.Retries)
 			return m.finish(res, samples),
 				fmt.Errorf("%w: simulated budget %.3gs exhausted after %d samples",
 					errdefs.ErrMeasureTimeout, m.cfg.Deadline, len(samples))
@@ -306,8 +303,6 @@ func (m *Meter) observe(ctx context.Context, sample func() (float64, error), res
 			return 0, err
 		}
 		if attempt >= m.cfg.MaxRetries {
-			obs.Log(ctx).Warn("transient retries exhausted",
-				"attempts", attempt+1, "max_retries", m.cfg.MaxRetries, "err", err.Error())
 			return 0, fmt.Errorf("measure: %d retries exhausted: %w", m.cfg.MaxRetries, err)
 		}
 		backoff := m.cfg.BaseBackoff * math.Pow(2, float64(attempt))

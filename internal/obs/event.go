@@ -12,6 +12,10 @@ import (
 	"sync"
 )
 
+type ctxKey int
+
+const eventKey ctxKey = 0
+
 // Event accumulates the canonical wide event's fields. The zero
 // value is not usable; NewEvent returns a ready one. A nil *Event is
 // a valid no-op, so handlers annotate unconditionally.

@@ -2,99 +2,19 @@ package obs
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"log/slog"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-func stampedCtx(lg *slog.Logger) context.Context {
-	ctx := WithLogger(context.Background(), lg)
-	ctx = WithRun(ctx, "run-42")
-	ctx = WithWorkload(ctx, "HotSpot")
-	return WithPhase(ctx, "kernel")
-}
-
 func TestNewLoggerRejectsUnknownFormat(t *testing.T) {
 	if _, err := NewLogger(&bytes.Buffer{}, "yaml", slog.LevelInfo); err == nil {
 		t.Fatal("expected an error for format yaml")
-	}
-}
-
-func TestTextLinesCarryStamps(t *testing.T) {
-	var buf bytes.Buffer
-	lg, err := NewLogger(&buf, "text", slog.LevelInfo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := stampedCtx(lg)
-
-	Log(ctx).Info("measuring", "samples", 10)      // plain call
-	Log(ctx).WarnContext(ctx, "degraded", "n", 1)  // *Context call
-	lg.InfoContext(ctx, "direct handler stamping") // bypassing Log()
-
-	for i, line := range nonEmptyLines(buf.String()) {
-		for _, want := range []string{"run=run-42", "workload=HotSpot", "phase=kernel"} {
-			if !strings.Contains(line, want) {
-				t.Errorf("line %d missing %q: %s", i, want, line)
-			}
-		}
-		if c := strings.Count(line, "run=run-42"); c != 1 {
-			t.Errorf("line %d stamps run %d times: %s", i, c, line)
-		}
-	}
-}
-
-func TestJSONLinesCarryStamps(t *testing.T) {
-	var buf bytes.Buffer
-	lg, err := NewLogger(&buf, "json", slog.LevelInfo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := stampedCtx(lg)
-	Log(ctx).Info("projection started")
-	Log(ctx).WarnContext(ctx, "projection degraded")
-
-	for i, line := range nonEmptyLines(buf.String()) {
-		var doc map[string]any
-		if err := json.Unmarshal([]byte(line), &doc); err != nil {
-			t.Fatalf("line %d is not JSON: %v\n%s", i, err, line)
-		}
-		if doc[FieldRun] != "run-42" || doc[FieldWorkload] != "HotSpot" || doc[FieldPhase] != "kernel" {
-			t.Errorf("line %d missing stamps: %s", i, line)
-		}
-	}
-}
-
-func TestExplicitAttrWinsOverContext(t *testing.T) {
-	var buf bytes.Buffer
-	lg, err := NewLogger(&buf, "text", slog.LevelInfo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := stampedCtx(lg)
-	Log(ctx).Info("override", FieldPhase, "custom")
-	line := buf.String()
-	if !strings.Contains(line, "phase=custom") {
-		t.Fatalf("explicit phase lost: %s", line)
-	}
-	if strings.Contains(line, "phase=kernel") {
-		t.Fatalf("context phase duplicated beside explicit one: %s", line)
-	}
-}
-
-func TestLogWithoutLoggerIsSilent(t *testing.T) {
-	// Must not panic, must not emit.
-	Log(context.Background()).Info("into the void")
-	Log(context.Background()).Error("still nothing")
-}
-
-func TestPhaseNarrowing(t *testing.T) {
-	ctx := WithPhase(context.Background(), "evaluate")
-	inner := WithPhase(ctx, "kernel")
-	if Phase(ctx) != "evaluate" || Phase(inner) != "kernel" {
-		t.Fatalf("phase narrowing broken: outer %q inner %q", Phase(ctx), Phase(inner))
 	}
 }
 
@@ -107,16 +27,6 @@ func TestNewRunIDUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
-}
-
-func nonEmptyLines(s string) []string {
-	var out []string
-	for _, l := range strings.Split(s, "\n") {
-		if strings.TrimSpace(l) != "" {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // TestParseLevel pins the -log-level vocabulary, including the empty
@@ -140,46 +50,51 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
-// TestSetup covers the one-call bootstrap: a usable stamped logger on
-// good flags, an error on bad ones, and the original context back.
-func TestSetup(t *testing.T) {
-	var buf bytes.Buffer
-	ctx, err := Setup(context.Background(), &buf, "text", "debug")
+// TestLibrariesDoNotLog: no package under internal/ but this one
+// imports log or log/slog. Degradations belong in the report and
+// failures in returned errors; the daemon's one record per request is
+// its wide event, written here.
+func TestLibrariesDoNotLog(t *testing.T) {
+	self, err := filepath.Abs(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if RunID(ctx) == "" {
-		t.Error("Setup did not stamp a run ID")
-	}
-	Log(ctx).Info("hello")
-	if !strings.Contains(buf.String(), "hello") || !strings.Contains(buf.String(), FieldRun+"=") {
-		t.Errorf("Setup logger output missing stamp: %q", buf.String())
-	}
-	if _, err := Setup(context.Background(), &buf, "text", "loud"); err == nil {
-		t.Error("Setup must reject an unknown level")
-	}
-	if _, err := Setup(context.Background(), &buf, "yaml", "info"); err == nil {
-		t.Error("Setup must reject an unknown format")
-	}
-	if WithLogger(context.Background(), nil) != context.Background() {
-		t.Error("WithLogger(nil) must return the context unchanged")
-	}
-}
-
-// TestStampHandlerWithAttrsAndGroup: derived loggers (With /
-// WithGroup) keep stamping context fields.
-func TestStampHandlerWithAttrsAndGroup(t *testing.T) {
-	var buf bytes.Buffer
-	lg, err := NewLogger(&buf, "text", slog.LevelInfo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := stampedCtx(lg)
-	Log(ctx).With("k", "v").WithGroup("g").Info("derived")
-	line := buf.String()
-	for _, want := range []string{"k=v", "run=run-42", "derived"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("derived-logger line missing %q: %q", want, line)
+	fset := token.NewFileSet()
+	checked := 0
+	err = filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		abs, err := filepath.Abs(filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		if abs == self {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		checked++
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			if p == "log" || p == "log/slog" {
+				t.Errorf("%s imports %q: library code records degradations in reports, not logs", path, p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no Go files found under internal/")
 	}
 }

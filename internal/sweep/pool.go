@@ -22,8 +22,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
-
-	"grophecy/internal/obs"
 )
 
 // PoolResult is one completed task: the submitter's index, the value,
@@ -81,7 +79,6 @@ func NewPool[T any](ctx context.Context, workers, capacity int, done func(PoolRe
 			pprof.Do(ctx, labels, func(context.Context) {
 				mWorkers.Add(1)
 				defer mWorkers.Add(-1)
-				lg := obs.Log(obs.WithPhase(ctx, "sweep"))
 				for t := range p.tasks {
 					r := PoolResult[T]{Index: t.index}
 					if err := ctx.Err(); err != nil {
@@ -92,7 +89,6 @@ func NewPool[T any](ctx context.Context, workers, capacity int, done func(PoolRe
 					mTasks.Inc()
 					if r.Err != nil {
 						mFailures.Inc()
-						lg.Warn("sweep input failed", "input", t.index, "err", r.Err.Error())
 					}
 					done(r)
 				}

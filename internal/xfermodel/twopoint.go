@@ -29,7 +29,6 @@ import (
 
 	"grophecy/internal/errdefs"
 	"grophecy/internal/measure"
-	"grophecy/internal/obs"
 	"grophecy/internal/pcie"
 	"grophecy/internal/units"
 )
@@ -100,12 +99,6 @@ func measurePoint(ctx context.Context, sample Sampler,
 			if i > 0 {
 				h.note("%v %s point: fell back from %s to %s after %v",
 					dir, what, units.FormatBytes(ladder[0]), units.FormatBytes(size), lastErr)
-				obs.Log(ctx).Warn("calibration point fell back to another size",
-					"dir", dir.String(), "point", what,
-					"requested", units.FormatBytes(ladder[0]),
-					"used", units.FormatBytes(size),
-					"attempts", i+1, "retries", h.Retries,
-					"err", lastErr.Error())
 			}
 			return size, pt, nil
 		}
@@ -113,12 +106,6 @@ func measurePoint(ctx context.Context, sample Sampler,
 		if ctx.Err() != nil {
 			break // cancelled: no point walking further rungs
 		}
-	}
-	if ctx.Err() == nil { // cancellation is propagation, not degradation
-		obs.Log(ctx).Warn("calibration point unmeasurable at every ladder size",
-			"dir", dir.String(), "point", what,
-			"attempts", len(ladder), "retries", h.Retries,
-			"err", lastErr.Error())
 	}
 	return 0, Point{}, lastErr
 }
@@ -181,8 +168,6 @@ func CalibrateTwoPoint(ctx context.Context, sample Sampler, cfg CalibrationConfi
 			h.Conservative[d] = true
 			h.note("%v large point unmeasurable (%v): using conservative bandwidth %s",
 				dir, errL, m)
-			obs.Log(ctx).Warn("calibration degraded to conservative bandwidth",
-				"dir", dir.String(), "retries", h.Retries, "model", m.String(), "err", errL.Error())
 		case errL == nil:
 			// Alpha unmeasurable: bound it by the large measurement's
 			// per-transfer floor via the conservative default.
@@ -190,16 +175,11 @@ func CalibrateTwoPoint(ctx context.Context, sample Sampler, cfg CalibrationConfi
 			h.Conservative[d] = true
 			h.note("%v small point unmeasurable (%v): using conservative latency %s",
 				dir, errS, m)
-			obs.Log(ctx).Warn("calibration degraded to conservative latency",
-				"dir", dir.String(), "retries", h.Retries, "model", m.String(), "err", errS.Error())
 		default:
 			m = ConservativeModel()
 			h.Conservative[d] = true
 			h.note("%v calibration unmeasurable (small: %v; large: %v): using conservative default %s",
 				dir, errS, errL, m)
-			obs.Log(ctx).Warn("calibration degraded to the conservative default model",
-				"dir", dir.String(), "retries", h.Retries, "model", m.String(),
-				"small_err", errS.Error(), "large_err", errL.Error())
 		}
 		bm.Dir[d] = m
 		bm.CalibrationCost += small.Cost + large.Cost
